@@ -9,6 +9,7 @@
 
 #include "common.h"
 #include "core/reactive_controllers.h"
+#include "thermal/transient_engine.h"
 #include "util/units.h"
 
 namespace {
@@ -61,13 +62,13 @@ int main() {
   topt.record_stride = 5;
   const double dt_per_sample =
       topt.time_step * static_cast<double>(topt.record_stride);
-  const thermal::TransientSolver transient(
+  const thermal::TransientEngine transient(
       sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(), topt);
 
   // Start everyone from the hot fan-only steady state at the reactive
   // controllers' fixed fan speed.
   const double fan_fixed = units::rpm_to_rad_s(3000.0);
-  const thermal::SteadyResult hot = sys.solver().solve(fan_fixed, 0.0);
+  const thermal::SteadyResult hot = sys.engine().solve({fan_fixed, 0.0});
 
   // Ref. [5]-style controllers: constant 2 A when ON, fixed fan.
   core::HysteresisController threshold =
@@ -88,7 +89,7 @@ int main() {
       [&](double) {
         return thermal::ControlSetting{star.omega, star.current};
       },
-      sys.solver().solve(star.omega, star.current).temperatures);
+      sys.engine().solve({star.omega, star.current}).temperatures);
 
   const LoopMetrics m_t = measure(r_threshold, t_max, dt_per_sample);
   const LoopMetrics m_h = measure(r_hysteresis, t_max, dt_per_sample);

@@ -1,16 +1,17 @@
 // Model-fidelity ablation (DESIGN.md): why the paper's leakage
-// linearization (Eq. 4) matters, and what the direct banded solver buys over
-// a Jacobi-preconditioned BiCGSTAB on the same system.
+// linearization (Eq. 4) matters, and how the direct banded solver compares
+// with the Jacobi-preconditioned CG the solve engine tries first.
 //
 //   (1) Leakage treatment: constant-at-ambient vs 10-point chord (paper)
 //       vs exact Newton — compare predicted max temperature for Basicmath.
-//   (2) Linear solver: banded LU vs BiCGSTAB on the assembled matrix.
+//   (2) Linear solver: banded LU vs Jacobi-CG on the assembled matrix.
 #include <cstdio>
 
 #include "common.h"
 #include "la/banded_lu.h"
 #include "la/iterative.h"
-#include "thermal/steady.h"
+#include "la/sparse.h"
+#include "thermal/solve_engine.h"
 #include "util/stopwatch.h"
 #include "util/units.h"
 
@@ -48,9 +49,9 @@ int main() {
   for (const ModeRow& m : modes) {
     thermal::SteadyOptions opts;
     opts.mode = m.mode;
-    const thermal::SteadySolver solver(model, dyn, leak_terms, opts);
+    const thermal::SolveEngine engine(model, dyn, leak_terms, opts);
     util::Stopwatch watch;
-    const thermal::SteadyResult r = solver.solve(omega, 0.5);
+    const thermal::SteadyResult r = engine.solve({omega, 0.5});
     const double ms = watch.elapsed_ms();
     if (m.mode == thermal::LeakageMode::kNewtonExact) {
       exact_temp = r.max_chip_temperature;
@@ -63,8 +64,8 @@ int main() {
   {
     thermal::SteadyOptions opts;
     opts.mode = thermal::LeakageMode::kConstant;
-    const thermal::SteadySolver solver(model, dyn, leak_terms, opts);
-    const thermal::SteadyResult r = solver.solve(omega, 0.5);
+    const thermal::SteadyResult r =
+        thermal::SolveEngine(model, dyn, leak_terms, opts).solve({omega, 0.5});
     std::printf("  -> constant-leakage model under-predicts by %.2f C\n",
                 units::kelvin_to_celsius(exact_temp) -
                     units::kelvin_to_celsius(r.max_chip_temperature));
@@ -85,24 +86,13 @@ int main() {
   const la::Vector x_direct = la::BandedLu(sys.matrix).solve(sys.rhs);
   const double direct_ms = direct_watch.elapsed_ms();
 
-  // Rebuild as CSR for the iterative solver.
-  la::TripletBuilder builder(sys.rhs.size());
-  for (std::size_t r = 0; r < sys.rhs.size(); ++r) {
-    const std::size_t bw = model.layout().bandwidth();
-    const std::size_t lo = r > bw ? r - bw : 0;
-    const std::size_t hi = std::min(sys.rhs.size() - 1, r + bw);
-    for (std::size_t c = lo; c <= hi; ++c) {
-      const double v = sys.matrix.get(r, c);
-      if (v != 0.0) builder.add(r, c, v);
-    }
-  }
-  const la::CsrMatrix csr = builder.build();
+  const la::CsrMatrix csr = la::banded_to_csr(sys.matrix);
   util::Stopwatch iter_watch;
-  const la::IterativeResult it = la::solve_bicgstab(csr, sys.rhs);
+  const la::IterativeResult it = la::solve_cg(csr, sys.rhs);
   const double iter_ms = iter_watch.elapsed_ms();
 
   std::printf("  banded LU : %.2f ms\n", direct_ms);
-  std::printf("  BiCGSTAB  : %.2f ms, %zu iterations, converged=%s, "
+  std::printf("  Jacobi-CG : %.2f ms, %zu iterations, converged=%s, "
               "max |dx| vs direct = %.2e K\n",
               iter_ms, it.iterations, it.converged ? "yes" : "NO",
               la::max_abs_diff(it.x, x_direct));

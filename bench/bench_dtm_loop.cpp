@@ -19,6 +19,7 @@
 #include "common.h"
 #include "core/dtm_loop.h"
 #include "la/backend.h"
+#include "reference/transient_solver.h"
 #include "thermal/transient_engine.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   // --- Fast transient engine vs reference solver -------------------------
   // The DTM loop's dominant cost is the per-step banded factorization. Hold
   // the static policy's constant setting over the whole trace horizon and
-  // integrate it twice — reference TransientSolver (assemble + factor every
+  // integrate it twice — reference::TransientSolver (assemble + factor every
   // step) vs TransientEngine (factor reused across the linearization hold
   // window). Both run the same hold policy, so results are bit-identical and
   // the comparison is honest.
@@ -153,7 +154,7 @@ int main(int argc, char** argv) {
     topt.record_stride = 8;
     topt.relinearization_threshold = 0.1;
 
-    const thermal::TransientSolver reference(
+    const reference::TransientSolver reference(
         sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(),
         topt);
     const thermal::TransientEngine engine(

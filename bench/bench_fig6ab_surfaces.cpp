@@ -9,8 +9,8 @@
 //   * both surfaces are smooth with only minor non-convexities.
 //
 // The sweep runs on the batched SolveEngine and doubles as its shop-floor
-// benchmark: the per-point serial reference (SteadySolver, the seed path) is
-// timed on a subsample, the engine is timed serially and batched across the
+// benchmark: the per-point reference solver (tests/reference: Newton with a
+// fresh pivoted LU per linearization) is timed on a subsample, the engine is timed serially and batched across the
 // OFTEC_THREADS pool, and the batch is checked bit-identical to the engine's
 // serial pass.
 //
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common.h"
+#include "reference/steady_solver.h"
 #include "thermal/solve_engine.h"
 #include "util/csv.h"
 #include "util/stopwatch.h"
@@ -36,7 +37,7 @@ using namespace oftec::bench;
 
 constexpr std::size_t kOmegaPoints = 25;
 constexpr std::size_t kCurrentPoints = 21;
-constexpr std::size_t kReferenceStride = 5;  // seed-path timing subsample
+constexpr std::size_t kReferenceStride = 5;  // reference timing subsample
 
 char shade(double value, double lo, double hi) {
   if (!std::isfinite(value)) return '#';  // runaway ("dark red")
@@ -71,11 +72,14 @@ int main() {
     }
   }
 
-  // --- Timing: seed serial path (subsampled) vs engine serial vs batched.
+  // --- Timing: reference solver (subsampled) vs engine serial vs batched.
+  const reference::SteadySolver ref(sys.thermal_model(),
+                                    sys.cell_dynamic_power(),
+                                    sys.cell_leakage());
   const util::Stopwatch ref_watch;
   std::size_t ref_count = 0;
   for (std::size_t i = 0; i < pts.size(); i += kReferenceStride) {
-    (void)sys.solver().solve(pts[i].omega, pts[i].current);
+    (void)ref.solve(pts[i].omega, pts[i].current);
     ++ref_count;
   }
   const double ref_ms_per_pt = ref_watch.elapsed_ms() /
@@ -105,7 +109,7 @@ int main() {
   const double batch_ms_per_pt = batch_ms / static_cast<double>(pts.size());
   std::printf("\nSolve engine timing over %zu operating points:\n",
               pts.size());
-  std::printf("  seed serial path   %7.2f ms/pt (sampled every %zu)\n",
+  std::printf("  reference solver   %7.2f ms/pt (sampled every %zu)\n",
               ref_ms_per_pt, kReferenceStride);
   std::printf("  engine, serial     %7.2f ms/pt  (%.2fx)\n", serial_ms_per_pt,
               ref_ms_per_pt / serial_ms_per_pt);

@@ -21,7 +21,6 @@
 #include "la/split_cholesky.h"
 #include "la/vector_ops.h"
 #include "thermal/solve_engine.h"
-#include "thermal/steady.h"
 #include "util/stopwatch.h"
 #include "util/units.h"
 
@@ -137,10 +136,11 @@ BENCHMARK(BM_VectorAxpyDot)->Arg(903)->Arg(8192);
 void BM_SteadyEvaluation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const thermal::ThermalModel& model = model_for_grid(n);
-  const thermal::SteadySolver solver(model, model.distribute(quicksort_peak()),
-                                     model.cell_leakage(paper_leakage()));
+  const thermal::SolveEngine engine(model, model.distribute(quicksort_peak()),
+                                    model.cell_leakage(paper_leakage()));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(units::rpm_to_rad_s(3000.0), 1.0));
+    benchmark::DoNotOptimize(
+        engine.solve({units::rpm_to_rad_s(3000.0), 1.0}));
   }
 }
 BENCHMARK(BM_SteadyEvaluation)->Arg(6)->Arg(10);
@@ -291,7 +291,9 @@ struct BackendTiming {
 BackendTiming measure_backend(const char* spec,
                               const thermal::AssembledSystem& spd,
                               const thermal::AssembledSystem& gen,
-                              const thermal::SteadySolver& solver32) {
+                              const thermal::ThermalModel& model32,
+                              const la::Vector& dyn32,
+                              const std::vector<power::ExponentialTerm>& leak32) {
   const la::BackendOps& ops = la::install_backend(spec);
   BackendTiming t;
   t.name = ops.name;
@@ -315,9 +317,9 @@ BackendTiming measure_backend(const char* spec,
   {
     thermal::EngineOptions direct;
     direct.use_iterative = false;
-    const thermal::SolveEngine engine(solver32, direct);
-    const thermal::OperatingPoint pt{
-        0.7 * solver32.model().config().fan.max_speed, 0.0};
+    const thermal::SolveEngine engine(model32, dyn32, leak32, {}, direct);
+    const thermal::OperatingPoint pt{0.7 * model32.config().fan.max_speed,
+                                     0.0};
     const util::Stopwatch watch;
     const thermal::SteadyResult r = engine.solve(pt);
     t.steady_solve_ms = watch.elapsed_ms();
@@ -376,16 +378,14 @@ void run_speedup_section() {
   // I = 1 A folds the TEC terms in and forces the pivoted-LU path.
   const thermal::AssembledSystem spd = model.assemble(300.0, 0.0, dyn, taylor);
   const thermal::AssembledSystem gen = model.assemble(300.0, 1.0, dyn, taylor);
-  const thermal::SteadySolver solver32(model, model.distribute(quicksort_peak()),
-                                       model.cell_leakage(paper_leakage()));
 
   std::vector<BackendTiming> timings;
-  timings.push_back(measure_backend("scalar", spd, gen, solver32));
+  timings.push_back(measure_backend("scalar", spd, gen, model, dyn, leak));
   if (la::avx2_backend() != nullptr) {
-    timings.push_back(measure_backend("avx2", spd, gen, solver32));
+    timings.push_back(measure_backend("avx2", spd, gen, model, dyn, leak));
   }
   if (la::avx512_backend() != nullptr) {
-    timings.push_back(measure_backend("avx512", spd, gen, solver32));
+    timings.push_back(measure_backend("avx512", spd, gen, model, dyn, leak));
   }
   la::install_backend(std::getenv("OFTEC_LA_BACKEND"));  // restore selection
 

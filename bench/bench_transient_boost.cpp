@@ -14,6 +14,7 @@
 #include "common.h"
 #include "core/transient_boost.h"
 #include "la/backend.h"
+#include "reference/transient_solver.h"
 #include "thermal/transient_engine.h"
 #include "util/stopwatch.h"
 #include "util/units.h"
@@ -82,7 +83,7 @@ int main() {
     const thermal::ControlSetting setting{star.omega, star.current};
     const auto constant = [setting](double, double) { return setting; };
     const thermal::SteadyResult steady =
-        sys.solver().solve(star.omega, star.current);
+        sys.engine().solve({star.omega, star.current});
     constexpr int kRepeats = 2;
 
     util::json::Value j = util::json::Value::object();
@@ -95,7 +96,7 @@ int main() {
     } modes[] = {{"exact", 0.0}, {"hold", 0.05}};
     for (const auto& mode : modes) {
       topt.relinearization_threshold = mode.threshold;
-      const thermal::TransientSolver reference(
+      const reference::TransientSolver reference(
           sys.thermal_model(), sys.cell_dynamic_power(), sys.cell_leakage(),
           topt);
       const thermal::TransientEngine engine(

@@ -12,7 +12,7 @@
 #include "core/oftec.h"
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
-#include "thermal/transient.h"
+#include "thermal/transient_engine.h"
 #include "util/units.h"
 #include "workload/benchmarks.h"
 
@@ -37,7 +37,7 @@ int main() {
 
   // Steady state under the cruise control = state at the moment of the jump.
   const thermal::SteadyResult initial =
-      cruise_sys.solver().solve(cruise_star.omega, cruise_star.current);
+      cruise_sys.engine().solve({cruise_star.omega, cruise_star.current});
 
   // Transient model driven by the burst's power from t = 0.
   const core::CoolingSystem burst_sys(fp, burst, leakage);
@@ -45,7 +45,7 @@ int main() {
   topt.time_step = 5e-3;
   topt.duration = 3.0;
   topt.record_stride = 10;
-  const thermal::TransientSolver transient(burst_sys.thermal_model(),
+  const thermal::TransientEngine transient(burst_sys.thermal_model(),
                                            burst_sys.cell_dynamic_power(),
                                            burst_sys.cell_leakage(), topt);
 

@@ -36,7 +36,7 @@ BaselineResult run_fixed_fan_baseline(const CoolingSystem& fan_only_system,
     throw std::invalid_argument(
         "run_fixed_fan_baseline: expected a no-TEC system");
   }
-  const Evaluation& ev = fan_only_system.evaluate(omega_fixed, 0.0);
+  const Evaluation ev = fan_only_system.evaluate(omega_fixed, 0.0);
   BaselineResult out;
   out.omega = omega_fixed;
   out.current = 0.0;
@@ -69,7 +69,7 @@ BaselineResult run_tec_only(const CoolingSystem& hybrid_system,
   for (std::size_t s = 0; s < current_samples; ++s) {
     const double current = i_max * static_cast<double>(s) /
                            static_cast<double>(current_samples - 1);
-    const Evaluation& ev = hybrid_system.evaluate(0.0, current);
+    const Evaluation ev = hybrid_system.evaluate(0.0, current);
     if (ev.runaway) continue;
     out.runaway = false;
     if (ev.max_chip_temperature < out.max_chip_temperature) {

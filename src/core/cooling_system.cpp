@@ -65,13 +65,12 @@ CoolingSystem::CoolingSystem(const floorplan::Floorplan& fp,
   model_ = std::make_unique<thermal::ThermalModel>(
       std::move(config.package), fp, config.grid_nx, config.grid_ny,
       std::move(config.tec_coverage));
-  solver_ = std::make_unique<thermal::SteadySolver>(
+  engine_ = std::make_unique<thermal::SolveEngine>(
       *model_, model_->distribute(dynamic_power), model_->cell_leakage(leakage),
-      config.steady);
-  engine_ = std::make_unique<thermal::SolveEngine>(*solver_, config.engine);
+      config.steady, config.engine);
 }
 
-const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
+Evaluation CoolingSystem::evaluate(double omega, double current) const {
   if (!(omega >= 0.0) || omega > omega_max() * (1.0 + 1e-9)) {
     throw std::invalid_argument("CoolingSystem::evaluate: omega out of range");
   }
@@ -108,7 +107,8 @@ const Evaluation& CoolingSystem::evaluate(double omega, double current) const {
 
   const std::lock_guard<std::mutex> lock(mutex_);
   ++solve_count_;
-  return cache_.emplace(key, std::move(ev)).first->second;
+  cache_.emplace(key, ev);
+  return ev;
 }
 
 double CoolingSystem::t_max() const noexcept { return model_->config().t_max; }
@@ -130,12 +130,12 @@ bool CoolingSystem::has_tec() const noexcept {
 }
 
 const la::Vector& CoolingSystem::cell_dynamic_power() const noexcept {
-  return solver_->cell_dynamic_power();
+  return engine_->cell_dynamic_power();
 }
 
 const std::vector<power::ExponentialTerm>& CoolingSystem::cell_leakage()
     const noexcept {
-  return solver_->cell_leakage();
+  return engine_->cell_leakage();
 }
 
 }  // namespace oftec::core

@@ -23,7 +23,6 @@
 #include "power/power_map.h"
 #include "thermal/model.h"
 #include "thermal/solve_engine.h"
-#include "thermal/steady.h"
 
 namespace oftec::core {
 
@@ -90,11 +89,8 @@ class CoolingSystem {
   ///
   /// Solves run through the batched SolveEngine from a fixed initial guess,
   /// so every evaluation is a pure function of (ω, I): results are identical
-  /// regardless of call order or thread count. Safe to call concurrently;
-  /// the returned reference stays valid until the memo cache overflows
-  /// `cache_limit` entries and is evicted wholesale — callers that hold
-  /// references across that many distinct evaluations must copy.
-  [[nodiscard]] const Evaluation& evaluate(double omega, double current) const;
+  /// regardless of call order or thread count. Safe to call concurrently.
+  [[nodiscard]] Evaluation evaluate(double omega, double current) const;
 
   [[nodiscard]] double t_max() const noexcept;     ///< [K]
   [[nodiscard]] double ambient() const noexcept;   ///< [K]
@@ -105,11 +101,9 @@ class CoolingSystem {
   [[nodiscard]] const thermal::ThermalModel& thermal_model() const noexcept {
     return *model_;
   }
-  [[nodiscard]] const thermal::SteadySolver& solver() const noexcept {
-    return *solver_;
-  }
-  /// The batched engine backing evaluate() — exposed so sweeps can fan
-  /// whole operating-point batches without round-tripping the memo cache.
+  /// The steady solver backing evaluate() — exposed so sweeps can fan whole
+  /// operating-point batches (and transient experiments can take full node
+  /// temperatures) without round-tripping the memo cache.
   [[nodiscard]] const thermal::SolveEngine& engine() const noexcept {
     return *engine_;
   }
@@ -125,7 +119,6 @@ class CoolingSystem {
 
  private:
   std::unique_ptr<thermal::ThermalModel> model_;
-  std::unique_ptr<thermal::SteadySolver> solver_;
   std::unique_ptr<thermal::SolveEngine> engine_;
   std::size_t cache_limit_;
   mutable std::mutex mutex_;  // guards cache_ and the counters

@@ -7,7 +7,7 @@
 
 #include "floorplan/grid_map.h"
 #include "thermal/model.h"
-#include "thermal/steady.h"
+#include "thermal/solve_engine.h"
 
 namespace oftec::core {
 
@@ -28,11 +28,11 @@ PlacementEval evaluate_placement(const floorplan::Floorplan& fp,
   const thermal::ThermalModel model(options.system.package, fp,
                                     options.system.grid_nx,
                                     options.system.grid_ny, coverage);
-  const thermal::SteadySolver solver(model, model.distribute(dynamic_power),
-                                     model.cell_leakage(leakage),
-                                     options.system.steady);
   const thermal::SteadyResult r =
-      solver.solve(options.omega, options.current);
+      thermal::SolveEngine(model, model.distribute(dynamic_power),
+                           model.cell_leakage(leakage), options.system.steady,
+                           options.system.engine)
+          .solve({options.omega, options.current});
   ++evaluations;
   PlacementEval out;
   out.runaway = r.runaway || !r.converged;

@@ -7,7 +7,7 @@
 
 #include "la/vector_ops.h"
 #include "thermal/model.h"
-#include "thermal/steady.h"
+#include "thermal/solve_engine.h"
 #include "thermal/transient_engine.h"
 #include "util/obs.h"
 #include "util/stopwatch.h"
@@ -249,10 +249,12 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
   ControllerTier tier = decision.tier;
   bool failsafe_active = tier == ControllerTier::kFailSafe;
 
-  thermal::SteadyResult initial =
-      thermal::SteadySolver(model, power_at(0), leak_terms,
-                            options.system.steady)
-          .solve(setting.omega, setting.current);
+  const auto steady_state = [&](la::Vector start_power) {
+    return thermal::SolveEngine(model, std::move(start_power), leak_terms,
+                                options.system.steady, options.system.engine)
+        .solve({setting.omega, setting.current});
+  };
+  thermal::SteadyResult initial = steady_state(power_at(0));
   if (initial.status != SolveStatus::kOk) {
     failsafe_active = true;
     tier = ControllerTier::kFailSafe;
@@ -261,9 +263,7 @@ DtmResult run_dtm_loop(const floorplan::Floorplan& fp,
     g_obs_watchdog_trips.add();
     la::Vector throttled = power_at(0);
     la::scale(options.failsafe_throttle, throttled);
-    initial = thermal::SteadySolver(model, throttled, leak_terms,
-                                    options.system.steady)
-                  .solve(setting.omega, setting.current);
+    initial = steady_state(std::move(throttled));
     if (initial.status != SolveStatus::kOk) {
       result.runaway = true;
       result.status = ControlStatus::kRunaway;

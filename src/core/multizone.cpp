@@ -100,10 +100,9 @@ MultiZoneSystem::MultiZoneSystem(const floorplan::Floorplan& fp,
     throw std::invalid_argument(
         "MultiZoneSystem: partition grid does not match config grid");
   }
-  solver_ = std::make_unique<thermal::SteadySolver>(
+  engine_ = std::make_unique<thermal::SolveEngine>(
       *model_, model_->distribute(dynamic_power),
       model_->cell_leakage(leakage), config.steady);
-  engine_ = std::make_unique<thermal::SolveEngine>(*solver_);
 }
 
 double MultiZoneSystem::t_max() const noexcept {
@@ -118,8 +117,8 @@ double MultiZoneSystem::current_max() const noexcept {
   return model_->config().tec.max_current;
 }
 
-const Evaluation& MultiZoneSystem::evaluate(
-    double omega, const la::Vector& zone_currents) const {
+Evaluation MultiZoneSystem::evaluate(double omega,
+                                     const la::Vector& zone_currents) const {
   if (!(omega >= 0.0) || omega > omega_max() * (1.0 + 1e-9)) {
     throw std::invalid_argument("MultiZoneSystem::evaluate: omega range");
   }
@@ -143,23 +142,12 @@ const Evaluation& MultiZoneSystem::evaluate(
   // Engine solves are pure functions of (ω, cell currents) — see
   // CoolingSystem::evaluate for the concurrency contract.
   const la::Vector cell_current = partition_.expand(zone_currents);
-  const thermal::SteadyResult sr = engine_->solve_cells(omega, cell_current);
-
-  Evaluation ev;
-  ev.status = sr.status;
-  if (sr.runaway || !sr.converged) {
-    ev.runaway = true;
-    ev.max_chip_temperature = std::numeric_limits<double>::infinity();
-  } else {
-    ev.max_chip_temperature = sr.max_chip_temperature;
-    ev.power.leakage = sr.leakage_power;
-    ev.power.tec = sr.tec_power;
-    ev.power.fan = model_->config().fan.power(omega);
-  }
-  ev.solver_iterations = sr.iterations;
+  const Evaluation ev = make_evaluation(
+      *model_, engine_->solve_cells(omega, cell_current), omega);
   const std::lock_guard<std::mutex> lock(mutex_);
   ++solve_count_;
-  return cache_.emplace(std::move(key), std::move(ev)).first->second;
+  cache_.emplace(std::move(key), ev);
+  return ev;
 }
 
 MultiZoneProblem::MultiZoneProblem(const MultiZoneSystem& system,
@@ -201,14 +189,14 @@ la::Vector MultiZoneProblem::currents_of(const la::Vector& x) const {
 }
 
 double MultiZoneProblem::objective(const la::Vector& x) const {
-  const Evaluation& ev = system_->evaluate(omega_of(x), currents_of(x));
+  const Evaluation ev = system_->evaluate(omega_of(x), currents_of(x));
   return objective_ == Objective::kCoolingPower ? ev.cooling_power()
                                                 : ev.max_chip_temperature;
 }
 
 la::Vector MultiZoneProblem::constraints(const la::Vector& x) const {
   if (!temperature_constraint_) return {};
-  const Evaluation& ev = system_->evaluate(omega_of(x), currents_of(x));
+  const Evaluation ev = system_->evaluate(omega_of(x), currents_of(x));
   return {ev.max_chip_temperature - (system_->t_max() - strictness_)};
 }
 
@@ -264,19 +252,19 @@ MultiZoneResult run_multizone_oftec(const MultiZoneSystem& system,
 
   const opt::OptResult r1 = opt::solve_sqp(opt1, x, sqp, nullptr);
   la::Vector x_star = r1.x;
-  const Evaluation* ev =
-      &system.evaluate(opt1.omega_of(x_star), opt1.currents_of(x_star));
-  if (ev->runaway || !(ev->max_chip_temperature < t_max)) {
+  Evaluation ev =
+      system.evaluate(opt1.omega_of(x_star), opt1.currents_of(x_star));
+  if (ev.runaway || !(ev.max_chip_temperature < t_max)) {
     x_star = x;
-    ev = &system.evaluate(opt1.omega_of(x_star), opt1.currents_of(x_star));
+    ev = system.evaluate(opt1.omega_of(x_star), opt1.currents_of(x_star));
   }
 
   result.success = true;
   result.status = SolveStatus::kOk;
   result.omega = opt1.omega_of(x_star);
   result.zone_currents = opt1.currents_of(x_star);
-  result.max_chip_temperature = ev->max_chip_temperature;
-  result.power = ev->power;
+  result.max_chip_temperature = ev.max_chip_temperature;
+  result.power = ev.power;
   result.runtime_ms = watch.elapsed_ms();
   result.thermal_solves = system.evaluation_count() - solves_before;
   return result;

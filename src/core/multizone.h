@@ -73,8 +73,8 @@ class MultiZoneSystem {
   [[nodiscard]] double current_max() const noexcept;
 
   /// Evaluate at fan speed ω and per-zone currents (size = zone_count).
-  [[nodiscard]] const Evaluation& evaluate(
-      double omega, const la::Vector& zone_currents) const;
+  [[nodiscard]] Evaluation evaluate(double omega,
+                                    const la::Vector& zone_currents) const;
 
   [[nodiscard]] std::size_t evaluation_count() const noexcept {
     return solve_count_;
@@ -82,7 +82,6 @@ class MultiZoneSystem {
 
  private:
   std::unique_ptr<thermal::ThermalModel> model_;
-  std::unique_ptr<thermal::SteadySolver> solver_;
   std::unique_ptr<thermal::SolveEngine> engine_;
   ZonePartition partition_;
   mutable std::mutex mutex_;  // guards cache_ and the counter

@@ -156,19 +156,19 @@ OftecResult run_oftec(const CoolingSystem& system, const OftecOptions& options) 
   // Guard against a solver returning an infeasible "optimum": fall back to
   // the Optimization 2 point, which is feasible by construction.
   la::Vector x_star = r1.x;
-  const Evaluation* ev = &system.evaluate(opt1.omega_of(x_star),
-                                          opt1.current_of(x_star));
-  if (ev->runaway || !(ev->max_chip_temperature < t_max)) {
+  Evaluation ev =
+      system.evaluate(opt1.omega_of(x_star), opt1.current_of(x_star));
+  if (ev.runaway || !(ev.max_chip_temperature < t_max)) {
     x_star = x;
-    ev = &system.evaluate(opt1.omega_of(x_star), opt1.current_of(x_star));
+    ev = system.evaluate(opt1.omega_of(x_star), opt1.current_of(x_star));
   }
 
   result.success = true;
   result.status = SolveStatus::kOk;
   result.omega = opt1.omega_of(x_star);
   result.current = opt1.current_of(x_star);
-  result.max_chip_temperature = ev->max_chip_temperature;
-  result.power = ev->power;
+  result.max_chip_temperature = ev.max_chip_temperature;
+  result.power = ev.power;
   result.runtime_ms = watch.elapsed_ms();
   result.thermal_solves = system.evaluation_count() - solves_before;
   if (obs::enabled()) {

@@ -46,14 +46,14 @@ double CoolingProblem::current_of(const la::Vector& x) const {
 }
 
 double CoolingProblem::objective(const la::Vector& x) const {
-  const Evaluation& ev = system_->evaluate(omega_of(x), current_of(x));
+  const Evaluation ev = system_->evaluate(omega_of(x), current_of(x));
   return objective_ == Objective::kCoolingPower ? ev.cooling_power()
                                                 : ev.max_chip_temperature;
 }
 
 la::Vector CoolingProblem::constraints(const la::Vector& x) const {
   if (!temperature_constraint_) return {};
-  const Evaluation& ev = system_->evaluate(omega_of(x), current_of(x));
+  const Evaluation ev = system_->evaluate(omega_of(x), current_of(x));
   return {ev.max_chip_temperature - (t_max_ - strictness_)};
 }
 

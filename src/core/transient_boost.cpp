@@ -19,9 +19,10 @@ BoostExperiment run_transient_boost(const CoolingSystem& system,
   const double boosted =
       std::min(current_star + options.boost_current, i_max);
 
-  // Steady state at the operating point = initial condition.
+  // Steady state at the operating point = initial condition; the same solve
+  // evaluate() memoizes, so the reported steady temperature is 𝒯(ω*, I*).
   const thermal::SteadyResult steady =
-      system.solver().solve(omega_star, current_star);
+      system.engine().solve({omega_star, current_star});
   if (steady.runaway) {
     throw std::invalid_argument(
         "run_transient_boost: operating point is in thermal runaway");

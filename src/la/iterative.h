@@ -1,10 +1,11 @@
-// Iterative Krylov solvers: CG (SPD systems) and BiCGSTAB (general).
+// Jacobi-preconditioned conjugate gradient.
 //
-// The unmodified conductance matrix G is symmetric positive definite, so CG
-// applies; once the TEC Peltier terms are folded into the left-hand side the
-// system becomes nonsymmetric and BiCGSTAB is used. Both are
-// Jacobi-preconditioned. The direct banded solver remains the default in the
-// thermal module; these exist for large grids and as cross-checks.
+// Every operating-point term of the steady thermal system — the fan's sink
+// conductance, the leakage slope and the TEC Peltier terms ±α·I — lands on
+// the diagonal, so the matrix stays symmetric, and it is positive definite
+// away from thermal runaway. thermal::SolveEngine therefore tries CG first
+// and falls back to a direct banded factorization only when CG does not
+// converge (an indefinite system near runaway).
 #pragma once
 
 #include <cstddef>
@@ -33,7 +34,7 @@ struct CgWorkspace {
   Vector ap;  ///< A·p
 };
 
-/// Options shared by both solvers.
+/// Options for solve_cg.
 struct IterativeOptions {
   double tolerance = 1e-10;      ///< relative residual target ‖r‖/‖b‖
   std::size_t max_iterations = 0;  ///< 0 → 10·n
@@ -43,18 +44,13 @@ struct IterativeOptions {
   /// the guess is close — e.g. successive Newton linearizations of the
   /// steady-state thermal system. Not owned; must outlive the call.
   const Vector* initial_guess = nullptr;
-  /// Optional scratch reused across solve_cg calls (ignored by BiCGSTAB).
-  /// Not owned; must outlive the call.
+  /// Optional scratch reused across solve_cg calls. Not owned; must outlive
+  /// the call.
   CgWorkspace* workspace = nullptr;
 };
 
 /// Preconditioned conjugate gradient; caller asserts A is SPD.
 [[nodiscard]] IterativeResult solve_cg(const CsrMatrix& a, const Vector& b,
                                        const IterativeOptions& opts = {});
-
-/// Preconditioned BiCGSTAB for general square systems.
-[[nodiscard]] IterativeResult solve_bicgstab(const CsrMatrix& a,
-                                             const Vector& b,
-                                             const IterativeOptions& opts = {});
 
 }  // namespace oftec::la

@@ -9,9 +9,8 @@
 // direct solvers, specialized to the band case where the "symbolic" phase
 // reduces to the filled lower band.
 //
-// BandedCholeskyNumeric::refactorize performs the identical arithmetic, in
-// the identical order, as constructing a fresh la::BandedCholesky — the
-// property tests assert exact agreement.
+// This is the library's one Cholesky API: a one-shot factorization is a
+// symbolic analysis plus a single refactorize().
 #pragma once
 
 #include <cstddef>
@@ -75,13 +74,9 @@ class BandedCholeskyNumeric {
   [[nodiscard]] double min_diagonal() const noexcept { return min_diag_; }
 
  private:
-  /// Column-major banded factor, same layout as BandedCholesky
-  /// (la/cholesky_core.h): L(i,j) at factor_[j*(k+1) + (i-j)].
-  [[nodiscard]] double l(std::size_t i, std::size_t j) const noexcept {
-    return factor_[j * (symbolic_->bandwidth() + 1) + (i - j)];
-  }
-
   std::shared_ptr<const BandedCholeskySymbolic> symbolic_;
+  /// Column-major banded factor: L(i,j) at factor_[j*(k+1) + (i-j)]
+  /// (layout: split_cholesky.cpp).
   Vector factor_;
   bool factorized_ = false;
   double min_diag_ = 0.0;

@@ -30,10 +30,12 @@
 #include "tec/array.h"             // IWYU pragma: export
 #include "tec/device.h"            // IWYU pragma: export
 #include "thermal/model.h"         // IWYU pragma: export
+#include "thermal/solve_engine.h"  // IWYU pragma: export
 #include "thermal/stack_report.h"  // IWYU pragma: export
 #include "thermal/steady.h"        // IWYU pragma: export
 #include "thermal/thermal_map.h"   // IWYU pragma: export
 #include "thermal/transient.h"     // IWYU pragma: export
+#include "thermal/transient_engine.h"  // IWYU pragma: export
 #include "util/units.h"            // IWYU pragma: export
 #include "workload/benchmarks.h"   // IWYU pragma: export
 #include "workload/trace.h"        // IWYU pragma: export

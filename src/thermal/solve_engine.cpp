@@ -203,12 +203,39 @@ struct SolveEngine::Workspace {
 // Engine
 // ---------------------------------------------------------------------------
 
-SolveEngine::SolveEngine(const SteadySolver& solver, EngineOptions options)
-    : solver_(&solver),
+namespace {
+
+/// The workload's per-cell dynamic power, once checked against the model
+/// and the leakage terms (validation runs before the assembler binds it).
+la::Vector checked_dynamic_power(
+    const ThermalModel& model, la::Vector cell_dynamic_power,
+    const std::vector<power::ExponentialTerm>& cell_leakage) {
+  const std::size_t cells = model.layout().cells_per_layer();
+  if (cell_dynamic_power.size() != cells || cell_leakage.size() != cells) {
+    throw std::invalid_argument("SolveEngine: per-cell arity mismatch");
+  }
+  for (const double p : cell_dynamic_power) {
+    if (p < 0.0 || !std::isfinite(p)) {
+      throw std::invalid_argument("SolveEngine: bad dynamic power");
+    }
+  }
+  return cell_dynamic_power;
+}
+
+}  // namespace
+
+SolveEngine::SolveEngine(const ThermalModel& model,
+                         la::Vector cell_dynamic_power,
+                         std::vector<power::ExponentialTerm> cell_leakage,
+                         SteadyOptions steady, EngineOptions options)
+    : steady_(steady),
       options_(options),
-      assembler_(solver.model(), solver.cell_dynamic_power()) {
+      assembler_(model, checked_dynamic_power(model,
+                                              std::move(cell_dynamic_power),
+                                              cell_leakage)),
+      leakage_(std::move(cell_leakage)) {
   // Probe the banded structure once; all operating points share it.
-  const std::size_t cells = solver.model().layout().cells_per_layer();
+  const std::size_t cells = model.layout().cells_per_layer();
   const AssembledSystem probe = assembler_.assemble_banded(
       0.0, la::Vector(cells, 0.0),
       std::vector<power::TaylorCoefficients>(cells));
@@ -233,7 +260,7 @@ EngineStats SolveEngine::stats() const {
 void SolveEngine::reset_stats() const { cache_->reset_counters(); }
 
 bool SolveEngine::physical(const la::Vector& temperatures) const {
-  const double runaway = solver_->options().runaway_temperature;
+  const double runaway = steady_.runaway_temperature;
   for (const double t : temperatures) {
     if (!std::isfinite(t) || t <= 0.0 || t > runaway) return false;
   }
@@ -395,9 +422,9 @@ SteadyResult SolveEngine::solve_point(double omega, Workspace& ws) const {
 }
 
 SteadyResult SolveEngine::solve_point_impl(double omega, Workspace& ws) const {
-  const ThermalModel& model = solver_->model();
-  const SteadyOptions& sopts = solver_->options();
-  const std::vector<power::ExponentialTerm>& leakage = solver_->cell_leakage();
+  const ThermalModel& model = assembler_.model();
+  const SteadyOptions& sopts = steady_;
+  const std::vector<power::ExponentialTerm>& leakage = leakage_;
   const std::size_t cells = model.layout().cells_per_layer();
 
   ws.have_warm = false;  // determinism: no state leaks between points
@@ -482,14 +509,14 @@ SteadyResult SolveEngine::solve_point_impl(double omega, Workspace& ws) const {
 
 SteadyResult SolveEngine::solve(const OperatingPoint& point) const {
   Workspace ws;
-  ws.cell_current.assign(solver_->model().layout().cells_per_layer(),
+  ws.cell_current.assign(assembler_.model().layout().cells_per_layer(),
                          point.current);
   return solve_point(point.omega, ws);
 }
 
 SteadyResult SolveEngine::solve_cells(double omega,
                                       const la::Vector& cell_current) const {
-  if (cell_current.size() != solver_->model().layout().cells_per_layer()) {
+  if (cell_current.size() != assembler_.model().layout().cells_per_layer()) {
     throw std::invalid_argument("SolveEngine::solve_cells: arity mismatch");
   }
   Workspace ws;
@@ -499,7 +526,7 @@ SteadyResult SolveEngine::solve_cells(double omega,
 
 std::vector<SteadyResult> SolveEngine::solve_serial(
     const std::vector<OperatingPoint>& points) const {
-  const std::size_t cells = solver_->model().layout().cells_per_layer();
+  const std::size_t cells = assembler_.model().layout().cells_per_layer();
   std::vector<SteadyResult> results(points.size());
   Workspace ws;
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -511,7 +538,7 @@ std::vector<SteadyResult> SolveEngine::solve_serial(
 
 std::vector<SteadyResult> SolveEngine::solve_batch(
     const std::vector<OperatingPoint>& points, util::ThreadPool& pool) const {
-  const std::size_t cells = solver_->model().layout().cells_per_layer();
+  const std::size_t cells = assembler_.model().layout().cells_per_layer();
   std::vector<SteadyResult> results(points.size());
   // Per-worker workspaces would need worker ids; a thread_local scratch
   // gives the same reuse without plumbing them through the pool API.

@@ -1,10 +1,12 @@
-// Batched steady-state solve engine.
+// Steady-state solve engine: the library's one steady thermal solver — the
+// "thermal simulator" box of the paper's Fig. 5 evaluation flow.
 //
 // OFTEC's optimizer, every baseline controller, the Fig. 6 surface sweeps,
-// the Pareto front, and LUT construction all reduce to evaluating the same
-// nonlinear steady-state system at many independent operating points
-// (ω, I_TEC). The serial SteadySolver rebuilds and re-solves everything from
-// scratch per point; this engine gets its throughput from three levers:
+// the Pareto front, LUT construction, TEC placement and the DTM loop's
+// initial state all reduce to evaluating the same nonlinear steady-state
+// system at many independent operating points (ω, I_TEC). The engine binds
+// one model and one workload (per-cell dynamic power + leakage terms) and
+// gets its throughput from three levers:
 //
 //   1. Incremental assembly — the matrix's operating-point dependence is
 //      diagonal-only, so the static network is assembled once and each
@@ -13,7 +15,7 @@
 //   2. Warm-started inexact Newton — Krylov solves inside the Newton loop
 //      start from the previous iterate and run at a loose tolerance until
 //      the outer loop converges, then a final polish solve tightens the
-//      result to the solver's reference tolerance.
+//      result to SteadyOptions::iterative_tolerance.
 //   3. Factor reuse — direct-solve fallbacks (near thermal runaway, or when
 //      use_iterative is off) go through a split symbolic/numeric banded
 //      Cholesky whose symbolic analysis is done once per package stack,
@@ -30,8 +32,7 @@
 //
 // Thread-safety contract: solve()/solve_batch() are const and safe to call
 // concurrently; the factor cache and statistics are internally synchronized.
-// The underlying SteadySolver and ThermalModel must outlive the engine and
-// are never mutated.
+// The ThermalModel must outlive the engine and is never mutated.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +63,9 @@ struct EngineOptions {
   /// looking up different operating points rarely contend on one mutex;
   /// 0 disables caching entirely.
   std::size_t factor_cache_capacity = 64;
-  /// Try warm-started CG before the direct path (mirrors the serial
-  /// solver's prefer_iterative). Off → every solve is a direct cached
-  /// factorization, which exercises the factor cache exclusively.
+  /// Try warm-started CG before the direct path. Off → every solve is a
+  /// direct cached factorization, which exercises the factor cache
+  /// exclusively.
   bool use_iterative = true;
   /// Krylov tolerance for intermediate Newton iterations; the final result
   /// is always polished to SteadyOptions::iterative_tolerance.
@@ -90,17 +91,24 @@ struct EngineStats {
 
 class SolveEngine {
  public:
-  /// Wraps a bound solver (model + workload + options). The solver's
-  /// LeakageMode, tolerances, and runaway threshold all apply; its
-  /// prefer_iterative flag is superseded by EngineOptions::use_iterative.
-  explicit SolveEngine(const SteadySolver& solver, EngineOptions options = {});
+  /// Binds one model to one workload. `steady` sets the leakage mode,
+  /// tolerances and runaway threshold; `options` the execution strategy.
+  /// Throws std::invalid_argument unless both per-cell vectors have
+  /// cells_per_layer entries and every dynamic power is finite and >= 0.
+  SolveEngine(const ThermalModel& model, la::Vector cell_dynamic_power,
+              std::vector<power::ExponentialTerm> cell_leakage,
+              SteadyOptions steady = {}, EngineOptions options = {});
   ~SolveEngine();
 
   SolveEngine(const SolveEngine&) = delete;
   SolveEngine& operator=(const SolveEngine&) = delete;
 
-  [[nodiscard]] const SteadySolver& solver() const noexcept {
-    return *solver_;
+  [[nodiscard]] const la::Vector& cell_dynamic_power() const noexcept {
+    return assembler_.cell_dynamic_power();
+  }
+  [[nodiscard]] const std::vector<power::ExponentialTerm>& cell_leakage()
+      const noexcept {
+    return leakage_;
   }
   [[nodiscard]] const EngineOptions& options() const noexcept {
     return options_;
@@ -109,8 +117,9 @@ class SolveEngine {
   /// Evaluate one operating point (thread-safe, deterministic).
   [[nodiscard]] SteadyResult solve(const OperatingPoint& point) const;
 
-  /// Multi-zone variant: an independent driving current per cell (mirrors
-  /// SteadySolver::solve_cells). Same determinism guarantees as solve().
+  /// Multi-zone variant: an independent driving current per cell (entries
+  /// for uncovered cells are ignored). Same determinism guarantees as
+  /// solve().
   [[nodiscard]] SteadyResult solve_cells(double omega,
                                          const la::Vector& cell_current) const;
 
@@ -153,9 +162,10 @@ class SolveEngine {
       la::Vector& out) const;
   [[nodiscard]] bool physical(const la::Vector& temperatures) const;
 
-  const SteadySolver* solver_;
+  SteadyOptions steady_;
   EngineOptions options_;
   IncrementalAssembler assembler_;
+  std::vector<power::ExponentialTerm> leakage_;
   std::shared_ptr<const la::BandedCholeskySymbolic> symbolic_;
   std::unique_ptr<FactorCache> cache_;
   mutable std::unique_ptr<util::ThreadPool> pool_;  // lazy

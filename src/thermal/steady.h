@@ -1,4 +1,5 @@
-// Steady-state thermal solve for one (ω, I_TEC) operating point.
+// Steady-state options and results for one (ω, I_TEC) operating point;
+// thermal::SolveEngine (solve_engine.h) is the solver.
 //
 // With the Taylor-linearized leakage and the Peltier terms on the LHS, the
 // system is linear for a fixed linearization point; the exact exponential
@@ -46,10 +47,7 @@ struct SteadyOptions {
   double chord_t_lo = 300.0;
   double chord_t_hi = 390.0;
   std::size_t chord_samples = 10;
-  /// Try Jacobi-preconditioned BiCGSTAB before the banded LU (≈5–10× faster
-  /// on well-conditioned systems; the direct solver remains the fallback
-  /// near runaway where the Krylov iteration stalls).
-  bool prefer_iterative = true;
+  /// Relative residual the reported state's linear solve is polished to.
   double iterative_tolerance = 1e-9;
 };
 
@@ -72,8 +70,8 @@ struct SteadyResult {
 };
 
 /// Populate a SteadyResult from a converged node-temperature vector: slab
-/// extraction, exact leakage, and TEC electrical power. Shared by the serial
-/// SteadySolver and the batched SolveEngine so both report identically.
+/// extraction, exact leakage, and TEC electrical power. Shared by the
+/// SolveEngine and the test oracles so both report identically.
 [[nodiscard]] SteadyResult make_steady_result(
     const ThermalModel& model, la::Vector temperatures, bool converged,
     std::size_t iterations, const la::Vector& cell_current,
@@ -84,54 +82,5 @@ struct SteadyResult {
 /// contamination); the default is the plain physical-runaway verdict.
 [[nodiscard]] SteadyResult make_runaway_result(
     std::size_t iterations, SolveStatus status = SolveStatus::kRunaway);
-
-/// Binds a thermal model to one workload (dynamic power + leakage terms) and
-/// solves repeatedly for different (ω, I) — the "thermal simulator" box of
-/// the paper's Fig. 5 evaluation flow.
-class SteadySolver {
- public:
-  SteadySolver(const ThermalModel& model, la::Vector cell_dynamic_power,
-               std::vector<power::ExponentialTerm> cell_leakage,
-               SteadyOptions options = {});
-
-  [[nodiscard]] const ThermalModel& model() const noexcept { return *model_; }
-  [[nodiscard]] const SteadyOptions& options() const noexcept {
-    return options_;
-  }
-  [[nodiscard]] const la::Vector& cell_dynamic_power() const noexcept {
-    return dynamic_;
-  }
-  [[nodiscard]] const std::vector<power::ExponentialTerm>& cell_leakage()
-      const noexcept {
-    return leakage_;
-  }
-
-  /// Solve at (ω [rad/s], I [A]).
-  [[nodiscard]] SteadyResult solve(double omega, double current) const;
-
-  /// Solve with a warm-start chip-temperature guess (speeds up the Newton
-  /// loop during optimizer sweeps).
-  [[nodiscard]] SteadyResult solve(double omega, double current,
-                                   const la::Vector& chip_guess) const;
-
-  /// Multi-zone variant: an independent driving current per cell (entries
-  /// for uncovered cells are ignored).
-  [[nodiscard]] SteadyResult solve_cells(double omega,
-                                         const la::Vector& cell_current) const;
-  [[nodiscard]] SteadyResult solve_cells(double omega,
-                                         const la::Vector& cell_current,
-                                         const la::Vector& chip_guess) const;
-
- private:
-  [[nodiscard]] SteadyResult finalize(la::Vector temperatures, bool converged,
-                                      std::size_t iterations,
-                                      const la::Vector& cell_current) const;
-  [[nodiscard]] static SteadyResult runaway_result(std::size_t iterations);
-
-  const ThermalModel* model_;
-  la::Vector dynamic_;
-  std::vector<power::ExponentialTerm> leakage_;
-  SteadyOptions options_;
-};
 
 }  // namespace oftec::thermal

@@ -1,10 +1,12 @@
-// Transient thermal simulation (backward Euler on the RC network).
+// Transient thermal simulation (backward Euler on the RC network): the
+// control, option and result types; thermal::TransientEngine
+// (transient_engine.h) is the integrator.
 //
 // Used for the paper's Sec. 6.2 extension experiments: the Peltier effect
 // responds instantly to a current step while Joule heat accumulates with the
 // package RC delay, so briefly over-driving I_TEC above its steady-state
 // optimum buys extra transient cooling (Ref. [8] suggests ≈ +1 A for ≈ 1 s).
-// The solver integrates C·dT/dt = −M(ω,I)·T + rhs(ω,I) with the leakage
+// The engine integrates C·dT/dt = −M(ω,I)·T + rhs(ω,I) with the leakage
 // tangent re-linearized every step (semi-implicit in the exponential).
 #pragma once
 
@@ -46,9 +48,9 @@ struct TransientOptions {
   /// matrix bit-constant across quiet stretches, which is what lets
   /// TransientEngine reuse one factorization for thousands of steps; the
   /// linearization error it admits is O(β²·δ²) per cell, far below the
-  /// O(dt) backward-Euler truncation error. TransientSolver and
-  /// TransientEngine honor the policy identically, so their results stay
-  /// bit-equal at any setting.
+  /// O(dt) backward-Euler truncation error. TransientEngine honors the
+  /// policy exactly as the per-step reference integrator does, so the two
+  /// stay bit-equal at any setting.
   double relinearization_threshold = 0.0;  ///< [K]
 };
 
@@ -79,33 +81,6 @@ struct TransientResult {
   la::Vector final_temperatures;  ///< empty if runaway
   bool runaway = false;
   std::size_t steps = 0;
-};
-
-class TransientSolver {
- public:
-  TransientSolver(const ThermalModel& model, la::Vector cell_dynamic_power,
-                  std::vector<power::ExponentialTerm> cell_leakage,
-                  TransientOptions options = {});
-
-  /// Integrate from `initial_temperatures` (all nodes; pass the ambient
-  /// vector or a steady solution) under the given control schedule.
-  [[nodiscard]] TransientResult run(const ControlSchedule& control,
-                                    const la::Vector& initial_temperatures) const;
-
-  /// Closed-loop variant: the controller is consulted every step with the
-  /// current max chip temperature.
-  [[nodiscard]] TransientResult run_closed_loop(
-      const FeedbackControl& control,
-      const la::Vector& initial_temperatures) const;
-
-  /// All-nodes-at-ambient initial condition.
-  [[nodiscard]] la::Vector ambient_state() const;
-
- private:
-  const ThermalModel* model_;
-  la::Vector dynamic_;
-  std::vector<power::ExponentialTerm> leakage_;
-  TransientOptions options_;
 };
 
 }  // namespace oftec::thermal

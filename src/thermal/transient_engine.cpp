@@ -441,8 +441,8 @@ class TransientEngine::StepperPool {
 namespace {
 
 /// The reference run_closed_loop body, executed on a stepper. Control-call
-/// sequence, record times, and runaway accounting mirror TransientSolver
-/// statement for statement.
+/// sequence, record times, and runaway accounting mirror the reference
+/// integrator statement for statement.
 [[nodiscard]] TransientResult run_on(TransientStepper& stepper,
                                      const FeedbackControl& control,
                                      const la::Vector& initial_temperatures,

@@ -1,11 +1,11 @@
-// Fast transient engine: the production path for backward-Euler transient
-// simulation, bit-identical to the reference TransientSolver.
+// Transient engine: the library's one backward-Euler transient integrator.
 //
-// TransientSolver rebuilds the full banded system and a fresh BandedLu at
-// every step, which makes the factorization (O(n·bw²)) the dominant cost of
-// every closed-loop run — the DTM loop, transient boost, serve sessions and
-// the ablation benches all pay it. This engine removes that cost without
-// changing a single output bit:
+// The textbook integrator (kept as the test oracle in tests/reference/)
+// rebuilds the full banded system and a fresh BandedLu at every step, which
+// makes the factorization (O(n·bw²)) the dominant cost of every closed-loop
+// run — the DTM loop, transient boost, serve sessions and the ablation
+// benches. This engine removes that cost without changing a single output
+// bit:
 //
 //   1. Static base, diagonal stamps. The conduction edges and PCB-ambient
 //      couplings never change across steps; they are stamped once into a
@@ -34,9 +34,10 @@
 //      results are bit-identical to serial at any thread count.
 //
 // Exactness contract: for identical inputs (model, workload, options,
-// control), TransientEngine and TransientSolver produce bit-identical
-// TransientResults — samples, final temperatures, step counts, runaway
-// verdicts — at any thread count and any relinearization threshold.
+// control), TransientEngine and the reference integrator produce
+// bit-identical TransientResults — samples, final temperatures, step
+// counts, runaway verdicts — at any thread count and any relinearization
+// threshold.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +57,7 @@ namespace oftec::thermal {
 
 /// What the post-step runaway verdict inspects.
 enum class RunawayCheck {
-  kAllNodes,  ///< any node non-finite or above the limit (TransientSolver)
+  kAllNodes,  ///< any node non-finite or above the limit (engine runs)
   kChipOnly,  ///< the max chip temperature only (the DTM loop's verdict)
 };
 
@@ -93,7 +94,7 @@ class TransientStepper {
   /// Advance one backward-Euler step of length `dt` under `setting` with the
   /// given per-cell dynamic power. Returns false — leaving the state
   /// unchanged — when the step matrix is singular or the stepped state fails
-  /// the runaway verdict; semantics match TransientSolver's step loop
+  /// the runaway verdict; semantics match the reference step loop
   /// bit for bit. Throws std::invalid_argument on bad current or arity.
   [[nodiscard]] bool step(const ControlSetting& setting,
                           const la::Vector& cell_dynamic_power, double dt);
@@ -119,7 +120,7 @@ class TransientStepper {
   /// ThermalModel::tec_power.
   [[nodiscard]] double tec_power(double current) const;
   /// Sample of the current state at `time` under `setting`; field-for-field
-  /// what TransientSolver records.
+  /// what the reference integrator records.
   [[nodiscard]] TransientSample sample(double time,
                                        const ControlSetting& setting) const;
 
@@ -213,9 +214,9 @@ struct TransientEngineStats {
   std::size_t slot_invalidations = 0;
 };
 
-/// Drop-in fast path for TransientSolver: same construction signature, same
-/// run()/run_closed_loop()/ambient_state() surface, bit-identical results,
-/// plus run_batch for fanning independent traces. Thread-safe: concurrent
+/// Backward-Euler integration of one model + workload under open- or
+/// closed-loop control, plus run_batch for fanning independent traces; see
+/// the exactness contract above. Thread-safe: concurrent
 /// runs check steppers out of an internal pool (warm factor caches carry
 /// across runs).
 class TransientEngine {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "test_fixtures.h"
 #include "util/units.h"
@@ -10,6 +14,7 @@
 namespace oftec::core {
 namespace {
 
+using testing::benchmark_power;
 using testing::coarse_config;
 using testing::fp;
 using testing::leakage;
@@ -99,6 +104,59 @@ TEST(CoolingSystem, CellInputsExposedForTransientReuse) {
   const CoolingSystem sys = make_system(workload::Benchmark::kFft);
   EXPECT_EQ(sys.cell_dynamic_power().size(), 64u);
   EXPECT_EQ(sys.cell_leakage().size(), 64u);
+}
+
+bool same_bits(const Evaluation& a, const Evaluation& b) {
+  return a.runaway == b.runaway && a.status == b.status &&
+         a.max_chip_temperature == b.max_chip_temperature &&
+         a.power.leakage == b.power.leakage && a.power.tec == b.power.tec &&
+         a.power.fan == b.power.fan &&
+         a.solver_iterations == b.solver_iterations;
+}
+
+TEST(CoolingSystem, ConcurrentEvaluationsSurviveMemoEviction) {
+  // A memo of two entries is evicted on nearly every miss. Each thread holds
+  // three results at once while the other threads' misses evict; every held
+  // result must still equal a serial evaluation on a separate system.
+  CoolingSystem::Config cfg = coarse_config();
+  cfg.cache_limit = 2;
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), cfg);
+  const CoolingSystem serial = make_system(workload::Benchmark::kFft);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPointsPerThread = 3;
+  constexpr std::size_t kRounds = 3;
+  std::vector<std::pair<double, double>> points;
+  std::vector<Evaluation> expected;
+  for (std::size_t i = 0; i < kThreads * kPointsPerThread; ++i) {
+    points.emplace_back(300.0 + 15.0 * static_cast<double>(i),
+                        0.25 * static_cast<double>(i % kPointsPerThread));
+    expected.push_back(serial.evaluate(points[i].first, points[i].second));
+  }
+
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t base = t * kPointsPerThread;
+      const auto& [wa, ia] = points[base];
+      const auto& [wb, ib] = points[base + 1];
+      const auto& [wc, ic] = points[base + 2];
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const Evaluation& a = sys.evaluate(wa, ia);
+        const Evaluation& b = sys.evaluate(wb, ib);
+        const Evaluation& c = sys.evaluate(wc, ic);
+        mismatches[t] += !same_bits(a, expected[base]);
+        mismatches[t] += !same_bits(b, expected[base + 1]);
+        mismatches[t] += !same_bits(c, expected[base + 2]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

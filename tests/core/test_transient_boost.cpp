@@ -48,6 +48,18 @@ TEST(TransientBoost, BoostBuysTransientCooling) {
   EXPECT_FALSE(exp.control.runaway);
 }
 
+TEST(TransientBoost, SteadyStartIsTheEvaluatedOperatingPoint) {
+  // The experiment starts from the same steady solve evaluate() reports, so
+  // its steady temperature is 𝒯(ω*, I*) bit for bit.
+  const CoolingSystem sys = make_system(workload::Benchmark::kFft);
+  const OftecResult star = run_oftec(sys);
+  ASSERT_TRUE(star.success);
+  const BoostExperiment exp =
+      run_transient_boost(sys, star.omega, star.current, fast_options());
+  EXPECT_EQ(exp.steady_temperature,
+            sys.evaluate(star.omega, star.current).max_chip_temperature);
+}
+
 TEST(TransientBoost, ControlRunStaysAtSteadyState) {
   const CoolingSystem sys = make_system(workload::Benchmark::kFft);
   const OftecResult star = run_oftec(sys);

@@ -1,5 +1,5 @@
-// Deterministic test-system builders and hex codecs shared by the
-// backend-parity suite and the golden generator (gen_la_goldens).
+// Deterministic test-system builders, hex codecs and a one-shot Cholesky
+// shared by the la suites and the golden generator (gen_la_goldens).
 //
 // The golden file tests/la/goldens/la_scalar.txt pins the *bits* the scalar
 // backend produced at the seed revision (before the column-major band
@@ -17,12 +17,14 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "la/backend.h"
 #include "la/banded_matrix.h"
+#include "la/split_cholesky.h"
 #include "la/vector_ops.h"
 #include "util/rng.h"
 
@@ -39,6 +41,15 @@ inline double unhex_double(const std::string& s) {
   if (s.size() != 16) throw std::invalid_argument("unhex_double: bad token");
   return std::bit_cast<double>(
       static_cast<std::uint64_t>(std::stoull(s, nullptr, 16)));
+}
+
+/// Factor `a` once: a symbolic analysis plus one refactorize(). Throws like
+/// BandedCholeskySymbolic::analyze and BandedCholeskyNumeric::refactorize.
+inline BandedCholeskyNumeric factor_cholesky(const BandedMatrix& a) {
+  BandedCholeskyNumeric chol(std::make_shared<const BandedCholeskySymbolic>(
+      BandedCholeskySymbolic::analyze(a)));
+  chol.refactorize(a);
+  return chol;
 }
 
 /// One randomized banded general system, deterministic in `seed`.

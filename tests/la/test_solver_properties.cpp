@@ -5,8 +5,8 @@
 // fallback, dense LU in reference tests); these properties pin down that the
 // choice of solver never changes the answer beyond floating-point noise:
 //
-//   * BandedCholesky, the split symbolic+numeric Cholesky, dense LU, and CG
-//     all agree to 1e-9 on the same random SPD banded system;
+//   * the split symbolic+numeric Cholesky, dense LU, and CG all agree to
+//     1e-9 on the same random SPD banded system;
 //   * refactorize() after a diagonal perturbation (the shape of every
 //     operating-point change in the thermal matrix) is bit-identical to a
 //     fresh factorization of the perturbed matrix — the invariant that makes
@@ -19,7 +19,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "la/banded_cholesky.h"
 #include "la/banded_matrix.h"
 #include "la/dense_lu.h"
 #include "la/dense_matrix.h"
@@ -27,6 +26,7 @@
 #include "la/split_cholesky.h"
 #include "la/sparse.h"
 #include "la/vector_ops.h"
+#include "tests/la/golden_systems.h"
 #include "util/rng.h"
 
 namespace oftec::la {
@@ -86,13 +86,7 @@ TEST(SolverProperties, AllSolversAgreeOnRandomSpdSystems) {
     const BandedMatrix a = random_spd_banded(n, k, rng);
     const Vector b = random_vector(n, rng);
 
-    const Vector x_chol = BandedCholesky(a).solve(b);
-
-    BandedCholeskyNumeric split(
-        std::make_shared<const BandedCholeskySymbolic>(
-            BandedCholeskySymbolic::analyze(a)));
-    split.refactorize(a);
-    const Vector x_split = split.solve(b);
+    const Vector x_chol = testing::factor_cholesky(a).solve(b);
 
     const Vector x_lu = DenseLu(to_dense(a)).solve(b);
 
@@ -102,34 +96,8 @@ TEST(SolverProperties, AllSolversAgreeOnRandomSpdSystems) {
     const IterativeResult cg = solve_cg(banded_to_csr(a), b, cg_opts);
     ASSERT_TRUE(cg.converged) << "trial " << trial;
 
-    EXPECT_LT(max_abs_diff(x_chol, x_split), 1e-9) << "trial " << trial;
     EXPECT_LT(max_abs_diff(x_chol, x_lu), 1e-9) << "trial " << trial;
     EXPECT_LT(max_abs_diff(x_chol, cg.x), 1e-9) << "trial " << trial;
-  }
-}
-
-TEST(SolverProperties, SplitCholeskyMatchesMonolithicExactly) {
-  // Identical arithmetic in identical order: solutions must agree bit for
-  // bit, not just to tolerance.
-  util::Rng rng(0xBEEF5EEDULL);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 30 + rng.uniform_index(31);
-    const std::size_t k = 1 + rng.uniform_index(6);
-    const BandedMatrix a = random_spd_banded(n, k, rng);
-    const Vector b = random_vector(n, rng);
-
-    const BandedCholesky mono(a);
-    BandedCholeskyNumeric split(
-        std::make_shared<const BandedCholeskySymbolic>(
-            BandedCholeskySymbolic::analyze(a)));
-    split.refactorize(a);
-
-    EXPECT_EQ(mono.min_diagonal(), split.min_diagonal());
-    const Vector x_mono = mono.solve(b);
-    const Vector x_split = split.solve(b);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(x_mono[i], x_split[i]) << "trial " << trial << " i=" << i;
-    }
   }
 }
 
@@ -163,10 +131,8 @@ TEST(SolverProperties, RefactorizeAfterPerturbationEqualsFresh) {
 
     const Vector x_reused = reused.solve(b);
     const Vector x_fresh = fresh.solve(b);
-    const Vector x_mono = BandedCholesky(a).solve(b);
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(x_reused[i], x_fresh[i]) << "step " << step << " i=" << i;
-      ASSERT_EQ(x_reused[i], x_mono[i]) << "step " << step << " i=" << i;
     }
   }
 }
@@ -190,9 +156,9 @@ TEST(SolverProperties, SplitCholeskyRejectsIndefiniteAndRecovers) {
   numeric.refactorize(good);
   ASSERT_TRUE(numeric.factorized());
   const Vector b = random_vector(n, rng);
-  const Vector x_mono = BandedCholesky(good).solve(b);
+  const Vector x_fresh = testing::factor_cholesky(good).solve(b);
   const Vector x_split = numeric.solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_mono[i], x_split[i]);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_fresh[i], x_split[i]);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
 #include "thermal/model.h"
-#include "thermal/steady.h"
+#include "reference/steady_solver.h"
 #include "util/thread_pool.h"
 #include "workload/benchmarks.h"
 
@@ -36,15 +36,26 @@ const ThermalModel& model() {
   return m;
 }
 
-const SteadySolver& solver() {
-  static const power::LeakageModel leakage =
-      power::characterize_leakage(fp(), power::ProcessConfig{});
-  static const SteadySolver s(
-      model(),
-      model().distribute(workload::peak_power_map(
-          workload::profile_for(workload::Benchmark::kQuicksort), fp())),
-      model().cell_leakage(leakage), SteadyOptions{});
-  return s;
+/// Quicksort peak power and the paper's leakage on the 8×8 grid.
+struct Workload {
+  la::Vector dynamic;
+  std::vector<power::ExponentialTerm> leak;
+};
+
+const Workload& workload() {
+  static const Workload w = [] {
+    const power::LeakageModel leakage =
+        power::characterize_leakage(fp(), power::ProcessConfig{});
+    return Workload{
+        model().distribute(workload::peak_power_map(
+            workload::profile_for(workload::Benchmark::kQuicksort), fp())),
+        model().cell_leakage(leakage)};
+  }();
+  return w;
+}
+
+SolveEngine make_engine() {
+  return SolveEngine(model(), workload().dynamic, workload().leak);
 }
 
 /// 4×4 (I_TEC, ω) grid spanning runaway (ω = 0 column) through overdriven.
@@ -84,7 +95,7 @@ void expect_identical(const SteadyResult& a, const SteadyResult& b,
 class BatchedVsSerialTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchedVsSerialTest, BatchBitIdenticalToSerialReference) {
-  const SolveEngine engine(solver());
+  const SolveEngine engine = make_engine();
   const std::vector<OperatingPoint> pts = grid16();
 
   const std::vector<SteadyResult> serial = engine.solve_serial(pts);
@@ -107,7 +118,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, BatchedVsSerialTest,
 TEST(BatchedVsSerial, RepeatedBatchesAreIdenticalDespiteCacheState) {
   // A second pass re-runs with a warm factor cache; cache hits must return
   // factors of identical matrices, so results cannot move.
-  const SolveEngine engine(solver());
+  const SolveEngine engine = make_engine();
   const std::vector<OperatingPoint> pts = grid16();
 
   util::ThreadPool pool(4);
@@ -121,7 +132,7 @@ TEST(BatchedVsSerial, RepeatedBatchesAreIdenticalDespiteCacheState) {
 
 TEST(BatchedVsSerial, SolveMatchesSerialElementwise) {
   // Single-point solve() is the same code path as each serial element.
-  const SolveEngine engine(solver());
+  const SolveEngine engine = make_engine();
   const std::vector<OperatingPoint> pts = grid16();
   const std::vector<SteadyResult> serial = engine.solve_serial(pts);
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -130,12 +141,15 @@ TEST(BatchedVsSerial, SolveMatchesSerialElementwise) {
 }
 
 TEST(BatchedVsSerial, MatchesSeedSteadySolverToTolerance) {
-  // Against the seed path the engine is not bit-identical (different Newton
-  // linearization schedule) but must agree physically: same runaway verdict
-  // everywhere, temperatures within 1e-3 K on converged points.
-  const SolveEngine engine(solver());
+  // Against the reference Newton loop (a fresh pivoted LU per
+  // linearization) the engine is not bit-identical (inexact CG inner solves)
+  // but must agree physically: same runaway verdict everywhere,
+  // temperatures within 1e-3 K on converged points.
+  const SolveEngine engine = make_engine();
+  const reference::SteadySolver oracle(model(), workload().dynamic,
+                                       workload().leak);
   for (const OperatingPoint& pt : grid16()) {
-    const SteadyResult seed = solver().solve(pt.omega, pt.current);
+    const SteadyResult seed = oracle.solve(pt.omega, pt.current);
     const SteadyResult fast = engine.solve(pt);
     ASSERT_EQ(seed.runaway, fast.runaway)
         << "omega=" << pt.omega << " I=" << pt.current;

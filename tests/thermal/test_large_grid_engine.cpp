@@ -22,7 +22,6 @@
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
 #include "thermal/model.h"
-#include "thermal/steady.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
 #include "workload/benchmarks.h"
@@ -47,14 +46,14 @@ class Scenario {
  public:
   Scenario(std::size_t nx, std::size_t ny)
       : model_(package::PackageConfig::paper_default(), fp(), nx, ny),
-        solver_(model_,
-                model_.distribute(workload::peak_power_map(
-                    workload::profile_for(workload::Benchmark::kQuicksort),
-                    fp())),
-                model_.cell_leakage(leakage()), SteadyOptions{}) {}
+        dynamic_(model_.distribute(workload::peak_power_map(
+            workload::profile_for(workload::Benchmark::kQuicksort), fp()))),
+        leak_(model_.cell_leakage(leakage())) {}
 
   [[nodiscard]] const ThermalModel& model() const { return model_; }
-  [[nodiscard]] const SteadySolver& solver() const { return solver_; }
+  [[nodiscard]] SolveEngine engine(EngineOptions options = {}) const {
+    return SolveEngine(model_, dynamic_, leak_, SteadyOptions{}, options);
+  }
   [[nodiscard]] double omega_max() const {
     return model_.config().fan.max_speed;
   }
@@ -64,7 +63,8 @@ class Scenario {
 
  private:
   ThermalModel model_;
-  SteadySolver solver_;
+  la::Vector dynamic_;
+  std::vector<power::ExponentialTerm> leak_;
 };
 
 const Scenario& grid32() {
@@ -94,7 +94,7 @@ void expect_identical(const SteadyResult& a, const SteadyResult& b,
 }
 
 TEST(LargeGridEngine, Grid32BatchedBitIdenticalToSerial) {
-  const SolveEngine engine(grid32().solver());
+  const SolveEngine engine = grid32().engine();
   const double w = grid32().omega_max();
   const double c = grid32().current_max();
   const std::vector<OperatingPoint> pts = {
@@ -123,7 +123,7 @@ TEST(LargeGridEngine, Grid32DirectFactorCacheWarmTinyAndCorruptAllBitExact) {
   // Cholesky at n = 9219, k = 1025 going through the factor cache.
   EngineOptions direct;
   direct.use_iterative = false;
-  const SolveEngine engine(grid32().solver(), direct);
+  const SolveEngine engine = grid32().engine(direct);
   const OperatingPoint p{0.7 * grid32().omega_max(), 0.0};
 
   const SteadyResult cold = engine.solve(p);
@@ -142,7 +142,7 @@ TEST(LargeGridEngine, Grid32DirectFactorCacheWarmTinyAndCorruptAllBitExact) {
   // eviction order influences work, never bits.
   EngineOptions tiny = direct;
   tiny.factor_cache_capacity = 1;
-  const SolveEngine small_cache(grid32().solver(), tiny);
+  const SolveEngine small_cache = grid32().engine(tiny);
   expect_identical(cold, small_cache.solve(p), 2);
 
   // Corrupt every cache hit: the engine must evict, refactorize from the
@@ -156,7 +156,7 @@ TEST(LargeGridEngine, Grid32DirectFactorCacheWarmTinyAndCorruptAllBitExact) {
 }
 
 TEST(LargeGridEngine, Grid64IterativeOnlyAndDeterministic) {
-  const SolveEngine engine(grid64().solver());
+  const SolveEngine engine = grid64().engine();
   const double w = grid64().omega_max();
   const double c = grid64().current_max();
   const std::vector<OperatingPoint> pts = {{0.8 * w, 0.0},

@@ -6,7 +6,7 @@
 
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
-#include "thermal/steady.h"
+#include "thermal/solve_engine.h"
 
 namespace oftec::thermal {
 namespace {
@@ -22,9 +22,8 @@ SteadyResult solved(const ThermalModel& model, double current = 0.8) {
   dyn.set("IntExec", 7.0);
   dyn.set("IntReg", 5.0);
   dyn.set("L2", 5.0);
-  const SteadySolver solver(model, model.distribute(dyn),
-                            model.cell_leakage(leak));
-  return solver.solve(420.0, current);
+  return SolveEngine(model, model.distribute(dyn), model.cell_leakage(leak))
+      .solve({420.0, current});
 }
 
 TEST(StackReport, SummariesAreOrderedAndPhysical) {

@@ -1,8 +1,9 @@
-#include "thermal/steady.h"
+#include "thermal/solve_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
@@ -30,20 +31,20 @@ const power::LeakageModel& leakage() {
 }
 
 /// Uniform power density over the die (hot spots in the cache region).
-SteadySolver make_solver(double total_dynamic_watts,
-                         SteadyOptions opts = {}) {
+SolveEngine make_solver(double total_dynamic_watts, SteadyOptions opts = {},
+                        EngineOptions engine = {}) {
   power::PowerMap dyn(fp());
   for (std::size_t b = 0; b < fp().block_count(); ++b) {
     dyn.set(b, total_dynamic_watts * fp().blocks()[b].area() / fp().die_area());
   }
-  return SteadySolver(model(), model().distribute(dyn),
-                      model().cell_leakage(leakage()), opts);
+  return SolveEngine(model(), model().distribute(dyn),
+                     model().cell_leakage(leakage()), opts, engine);
 }
 
 /// Core-concentrated power (hot spots under the TEC-covered belt) — needed
 /// whenever a test asserts that TEC current *reduces* the max temperature.
-SteadySolver make_core_heavy_solver(double total_dynamic_watts,
-                                    SteadyOptions opts = {}) {
+SolveEngine make_core_heavy_solver(double total_dynamic_watts,
+                                   SteadyOptions opts = {}) {
   power::PowerMap dyn(fp());
   for (std::size_t b = 0; b < fp().block_count(); ++b) {
     dyn.set(b, 0.5 * total_dynamic_watts * fp().blocks()[b].area() /
@@ -51,13 +52,13 @@ SteadySolver make_core_heavy_solver(double total_dynamic_watts,
   }
   dyn.add("IntExec", 0.3 * total_dynamic_watts);
   dyn.add("IntReg", 0.2 * total_dynamic_watts);
-  return SteadySolver(model(), model().distribute(dyn),
-                      model().cell_leakage(leakage()), opts);
+  return SolveEngine(model(), model().distribute(dyn),
+                     model().cell_leakage(leakage()), opts);
 }
 
 TEST(Steady, ConvergesAtModerateLoad) {
-  const SteadySolver solver = make_solver(30.0);
-  const SteadyResult r = solver.solve(400.0, 0.0);
+  const SolveEngine solver = make_solver(30.0);
+  const SteadyResult r = solver.solve({400.0, 0.0});
   ASSERT_TRUE(r.converged);
   EXPECT_FALSE(r.runaway);
   EXPECT_GT(r.max_chip_temperature, model().config().ambient);
@@ -69,19 +70,19 @@ TEST(Steady, ConvergesAtModerateLoad) {
 TEST(Steady, RunsAwayWithoutFan) {
   // ω = 0 leaves only natural convection (g = 0.525 W/K) — the paper's
   // TEC-only configuration cannot avoid thermal runaway.
-  const SteadySolver solver = make_solver(35.0);
+  const SolveEngine solver = make_solver(35.0);
   for (double current : {0.0, 2.0, 5.0}) {
-    const SteadyResult r = solver.solve(0.0, current);
+    const SteadyResult r = solver.solve({0.0, current});
     EXPECT_TRUE(r.runaway) << "I = " << current;
     EXPECT_TRUE(std::isinf(r.max_chip_temperature));
   }
 }
 
 TEST(Steady, FanSpeedMonotonicallyCools) {
-  const SteadySolver solver = make_solver(32.0);
+  const SolveEngine solver = make_solver(32.0);
   double last = 1e9;
   for (double omega : {100.0, 200.0, 350.0, 524.0}) {
-    const SteadyResult r = solver.solve(omega, 0.0);
+    const SteadyResult r = solver.solve({omega, 0.0});
     ASSERT_TRUE(r.converged) << omega;
     EXPECT_LT(r.max_chip_temperature, last);
     last = r.max_chip_temperature;
@@ -89,9 +90,9 @@ TEST(Steady, FanSpeedMonotonicallyCools) {
 }
 
 TEST(Steady, ModerateTecCurrentCools) {
-  const SteadySolver solver = make_core_heavy_solver(36.0);
-  const SteadyResult off = solver.solve(450.0, 0.0);
-  const SteadyResult on = solver.solve(450.0, 1.0);
+  const SolveEngine solver = make_core_heavy_solver(36.0);
+  const SteadyResult off = solver.solve({450.0, 0.0});
+  const SteadyResult on = solver.solve({450.0, 1.0});
   ASSERT_TRUE(off.converged);
   ASSERT_TRUE(on.converged);
   EXPECT_LT(on.max_chip_temperature, off.max_chip_temperature);
@@ -102,17 +103,17 @@ TEST(Steady, ExcessiveCurrentHeats) {
   // Deep in the Joule-dominated regime the chip gets hotter, not cooler —
   // the non-monotonicity that makes Optimization 1 non-trivial. Use a
   // uniform load (hot cells uncovered): every ampere is pure overhead there.
-  const SteadySolver solver = make_solver(30.0);
-  const SteadyResult mild = solver.solve(450.0, 0.5);
-  const SteadyResult harsh = solver.solve(450.0, 5.0);
+  const SolveEngine solver = make_solver(30.0);
+  const SteadyResult mild = solver.solve({450.0, 0.5});
+  const SteadyResult harsh = solver.solve({450.0, 5.0});
   ASSERT_TRUE(mild.converged);
   ASSERT_TRUE(harsh.converged);
   EXPECT_GT(harsh.max_chip_temperature, mild.max_chip_temperature);
 }
 
 TEST(Steady, ColdSideColderThanHotSideUnderCurrent) {
-  const SteadySolver solver = make_solver(30.0);
-  const SteadyResult r = solver.solve(450.0, 2.0);
+  const SolveEngine solver = make_solver(30.0);
+  const SteadyResult r = solver.solve({450.0, 2.0});
   ASSERT_TRUE(r.converged);
   // On TEC-covered cells the reject interface must be warmer than the
   // absorb interface (Peltier transport direction).
@@ -124,21 +125,11 @@ TEST(Steady, ColdSideColderThanHotSideUnderCurrent) {
   }
 }
 
-TEST(Steady, WarmStartMatchesColdStart) {
-  const SteadySolver solver = make_solver(33.0);
-  const SteadyResult cold = solver.solve(380.0, 0.8);
-  ASSERT_TRUE(cold.converged);
-  const SteadyResult warm = solver.solve(380.0, 0.8, cold.chip_temperatures);
-  ASSERT_TRUE(warm.converged);
-  EXPECT_NEAR(warm.max_chip_temperature, cold.max_chip_temperature, 2e-3);
-  EXPECT_LE(warm.iterations, cold.iterations);
-}
-
 TEST(Steady, ChordModeSolvesInOnePass) {
   SteadyOptions opts;
   opts.mode = LeakageMode::kChordLinear;
-  const SteadySolver solver = make_solver(30.0, opts);
-  const SteadyResult r = solver.solve(400.0, 0.0);
+  const SolveEngine solver = make_solver(30.0, opts);
+  const SteadyResult r = solver.solve({400.0, 0.0});
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.iterations, 1u);
 }
@@ -146,10 +137,10 @@ TEST(Steady, ChordModeSolvesInOnePass) {
 TEST(Steady, ChordApproximatesNewton) {
   SteadyOptions chord_opts;
   chord_opts.mode = LeakageMode::kChordLinear;
-  const SteadySolver chord = make_solver(30.0, chord_opts);
-  const SteadySolver newton = make_solver(30.0);
-  const SteadyResult rc = chord.solve(450.0, 0.5);
-  const SteadyResult rn = newton.solve(450.0, 0.5);
+  const SolveEngine chord = make_solver(30.0, chord_opts);
+  const SolveEngine newton = make_solver(30.0);
+  const SteadyResult rc = chord.solve({450.0, 0.5});
+  const SteadyResult rn = newton.solve({450.0, 0.5});
   ASSERT_TRUE(rc.converged);
   ASSERT_TRUE(rn.converged);
   // The 10-point chord fit of Sec. 6.1 tracks the exact exponential to a
@@ -162,10 +153,10 @@ TEST(Steady, ChordApproximatesNewton) {
 TEST(Steady, ConstantModeUnderestimatesTemperature) {
   SteadyOptions const_opts;
   const_opts.mode = LeakageMode::kConstant;
-  const SteadySolver constant = make_solver(36.0, const_opts);
-  const SteadySolver newton = make_solver(36.0);
-  const SteadyResult rc = constant.solve(400.0, 0.0);
-  const SteadyResult rn = newton.solve(400.0, 0.0);
+  const SolveEngine constant = make_solver(36.0, const_opts);
+  const SolveEngine newton = make_solver(36.0);
+  const SteadyResult rc = constant.solve({400.0, 0.0});
+  const SteadyResult rn = newton.solve({400.0, 0.0});
   ASSERT_TRUE(rc.converged);
   ASSERT_TRUE(rn.converged);
   // Freezing leakage at its ambient value ignores the feedback and predicts
@@ -174,8 +165,8 @@ TEST(Steady, ConstantModeUnderestimatesTemperature) {
 }
 
 TEST(Steady, LeakagePowerIsExponentialAtSolution) {
-  const SteadySolver solver = make_solver(30.0);
-  const SteadyResult r = solver.solve(420.0, 0.0);
+  const SolveEngine solver = make_solver(30.0);
+  const SteadyResult r = solver.solve({420.0, 0.0});
   ASSERT_TRUE(r.converged);
   double expected = 0.0;
   const auto& terms = solver.cell_leakage();
@@ -188,14 +179,14 @@ TEST(Steady, LeakagePowerIsExponentialAtSolution) {
 TEST(Steady, FirstLawBalanceWithTecActive) {
   // At a converged steady state, everything injected must leave to ambient:
   // dynamic + exact leakage + TEC electrical = Σ g_amb (T − T_amb).
-  const SteadySolver solver = make_core_heavy_solver(34.0);
+  const SolveEngine solver = make_core_heavy_solver(34.0);
   const double omega = 430.0;
   const double current = 1.2;
-  SteadyOptions tight = solver.options();
+  SteadyOptions tight;
   tight.tolerance = 1e-6;  // push the outer Newton loop hard
-  const SteadySolver precise(model(), solver.cell_dynamic_power(),
-                             solver.cell_leakage(), tight);
-  const SteadyResult r = precise.solve(omega, current);
+  const SolveEngine precise(model(), solver.cell_dynamic_power(),
+                            solver.cell_leakage(), tight);
+  const SteadyResult r = precise.solve({omega, current});
   ASSERT_TRUE(r.converged);
 
   const double injected =
@@ -205,12 +196,12 @@ TEST(Steady, FirstLawBalanceWithTecActive) {
 }
 
 TEST(Steady, IterativeAndDirectPathsAgree) {
-  SteadyOptions direct_opts;
-  direct_opts.prefer_iterative = false;
-  const SteadySolver direct = make_solver(33.0, direct_opts);
-  const SteadySolver iterative = make_solver(33.0);  // default: iterative
-  const SteadyResult rd = direct.solve(420.0, 1.2);
-  const SteadyResult ri = iterative.solve(420.0, 1.2);
+  EngineOptions direct_opts;
+  direct_opts.use_iterative = false;
+  const SolveEngine direct = make_solver(33.0, {}, direct_opts);
+  const SolveEngine iterative = make_solver(33.0);  // default: CG first
+  const SteadyResult rd = direct.solve({420.0, 1.2});
+  const SteadyResult ri = iterative.solve({420.0, 1.2});
   ASSERT_TRUE(rd.converged);
   ASSERT_TRUE(ri.converged);
   EXPECT_NEAR(rd.max_chip_temperature, ri.max_chip_temperature, 1e-4);
@@ -218,24 +209,27 @@ TEST(Steady, IterativeAndDirectPathsAgree) {
 }
 
 TEST(Steady, IterativePathDetectsRunawayToo) {
-  const SteadySolver solver = make_solver(35.0);  // prefer_iterative default
-  const SteadyResult r = solver.solve(0.0, 0.0);
+  const SolveEngine solver = make_solver(35.0);  // use_iterative default
+  const SteadyResult r = solver.solve({0.0, 0.0});
   EXPECT_TRUE(r.runaway);
 }
 
 TEST(Steady, RejectsBadConstruction) {
-  EXPECT_THROW(SteadySolver(model(), la::Vector(3, 0.0),
-                            model().cell_leakage(leakage())),
+  const std::size_t cells = model().layout().cells_per_layer();
+  EXPECT_THROW(SolveEngine(model(), la::Vector(3, 0.0),
+                           model().cell_leakage(leakage())),
                std::invalid_argument);
-  la::Vector bad(model().layout().cells_per_layer(), 0.1);
+  EXPECT_THROW(SolveEngine(model(), la::Vector(cells, 0.1), {}),
+               std::invalid_argument);
+  la::Vector bad(cells, 0.1);
   bad[0] = -1.0;
-  EXPECT_THROW(SteadySolver(model(), bad, model().cell_leakage(leakage())),
+  EXPECT_THROW(SolveEngine(model(), bad, model().cell_leakage(leakage())),
                std::invalid_argument);
-}
-
-TEST(Steady, GuessArityChecked) {
-  const SteadySolver solver = make_solver(30.0);
-  EXPECT_THROW((void)solver.solve(400.0, 0.0, la::Vector(2, 330.0)),
+  bad[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(SolveEngine(model(), bad, model().cell_leakage(leakage())),
+               std::invalid_argument);
+  bad[0] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SolveEngine(model(), bad, model().cell_leakage(leakage())),
                std::invalid_argument);
 }
 
@@ -247,9 +241,9 @@ class BenchmarkSteadyTest
 TEST_P(BenchmarkSteadyTest, ConvergesAtFullFan) {
   const auto& prof = workload::profile_for(GetParam());
   const power::PowerMap peak = workload::peak_power_map(prof, fp());
-  const SteadySolver solver(model(), model().distribute(peak),
-                            model().cell_leakage(leakage()));
-  const SteadyResult r = solver.solve(524.0, 1.0);
+  const SolveEngine solver(model(), model().distribute(peak),
+                           model().cell_leakage(leakage()));
+  const SteadyResult r = solver.solve({524.0, 1.0});
   ASSERT_TRUE(r.converged) << prof.name;
   EXPECT_FALSE(r.runaway);
   EXPECT_GT(r.tec_power, 0.0);

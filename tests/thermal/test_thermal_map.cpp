@@ -6,7 +6,7 @@
 
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
-#include "thermal/steady.h"
+#include "thermal/solve_engine.h"
 #include "util/strings.h"
 
 namespace oftec::thermal {
@@ -22,9 +22,8 @@ SteadyResult solve_case(const ThermalModel& model) {
   power::PowerMap dyn(fp());
   dyn.set("IntExec", 8.0);
   dyn.set("L2", 4.0);
-  const SteadySolver solver(model, model.distribute(dyn),
-                            model.cell_leakage(leak));
-  return solver.solve(400.0, 0.5);
+  return SolveEngine(model, model.distribute(dyn), model.cell_leakage(leak))
+      .solve({400.0, 0.5});
 }
 
 TEST(ThermalMap, SlabNamesCoverAllSlabs) {

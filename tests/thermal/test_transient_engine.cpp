@@ -1,7 +1,8 @@
 // TransientEngine's exactness contract: for identical inputs it must produce
-// bit-identical TransientResults to the reference TransientSolver — across
-// record strides, controller types, relinearization thresholds, runaway
-// early-exits, clamped horizons, and run_batch at any thread count.
+// bit-identical TransientResults to the reference TransientSolver
+// (tests/reference) — across record strides, controller types,
+// relinearization thresholds, runaway early-exits, clamped horizons, and
+// run_batch at any thread count.
 #include "thermal/transient_engine.h"
 
 #include <gtest/gtest.h>
@@ -12,11 +13,13 @@
 
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
-#include "thermal/steady.h"
-#include "thermal/transient.h"
+#include "reference/transient_solver.h"
+#include "thermal/solve_engine.h"
 
 namespace oftec::thermal {
 namespace {
+
+using reference::TransientSolver;
 
 const floorplan::Floorplan& fp() {
   static const floorplan::Floorplan f = floorplan::make_ev6_floorplan();
@@ -242,8 +245,8 @@ TEST(TransientEngine, RunBatchBitIdenticalToSerialAtAnyThreadCount) {
 
 TEST(TransientEngine, StatsShowFactorReuseUnderHold) {
   const Workload w = make_workload(24.0);
-  const SteadySolver steady(model(), w.dynamic, w.leak);
-  const SteadyResult s = steady.solve(400.0, 1.0);
+  const SolveEngine steady(model(), w.dynamic, w.leak);
+  const SteadyResult s = steady.solve({400.0, 1.0});
   ASSERT_TRUE(s.converged);
 
   TransientOptions opts;

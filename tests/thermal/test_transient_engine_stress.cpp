@@ -12,10 +12,13 @@
 
 #include "floorplan/ev6.h"
 #include "power/mcpat_like.h"
+#include "reference/transient_solver.h"
 #include "thermal/transient.h"
 
 namespace oftec::thermal {
 namespace {
+
+using reference::TransientSolver;
 
 const floorplan::Floorplan& fp() {
   static const floorplan::Floorplan f = floorplan::make_ev6_floorplan();
