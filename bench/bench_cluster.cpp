@@ -20,8 +20,7 @@
 //
 // Sessions cycle through a few distinct chip specs at small grids, so the
 // run measures routing/sharding overhead rather than thermal-model build
-// time, and per-worker factor caches stay warm the way a long-running
-// service's would.
+// time.
 #include <atomic>
 #include <chrono>
 #include <cstdio>

@@ -7,15 +7,12 @@
 //
 //   serial dispatch  max_batch_size = 1  — every request is its own engine
 //                                          call, in arrival order;
-//   micro-batched    max_batch_size = 64 — concurrent requests coalesce,
-//                                          identical (ω, I) points are
-//                                          answered by one solve, and warm
-//                                          factorizations are reused.
+//   micro-batched    max_batch_size = 64 — concurrent requests coalesce
+//                                          and identical (ω, I) points are
+//                                          answered by one solve.
 //
-// Sessions are bound with direct_solve=true, so every solve runs the cached
-// banded-Cholesky path and the engine's factor-cache hit rate is visible in
-// the stats. A warm-up sweep by one client pre-populates the factor cache —
-// the steady state of a long-running service.
+// The bench's claim is the dedup: it exits 1 unless the batched run
+// answered some queued solves from a shared one (dedup_hits > 0).
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -37,8 +34,6 @@ struct RunResult {
   double wall_ms = 0.0;
   serve::Server::Counters counters;
   std::uint64_t engine_points = 0;
-  std::uint64_t factor_hits = 0;
-  std::uint64_t factorizations = 0;
 };
 
 /// One client: pipeline the full grid, then collect every response.
@@ -73,12 +68,7 @@ RunResult run_scenario(std::size_t max_batch_size) {
   bind.benchmark = "susan";
   bind.grid_nx = 8;
   bind.grid_ny = 8;
-  bind.direct_solve = true;  // every solve through the cached factor path
   const serve::BindReply chip = admin.bind(bind);
-
-  // Warm-up: one pass over the grid primes the factor cache, as in a
-  // long-running deployment.
-  run_client(server.port(), chip.session, chip.omega_max, chip.current_max);
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -98,23 +88,16 @@ RunResult run_scenario(std::size_t max_batch_size) {
   const util::json::Value& engine = *stats.find("session")->find("engine");
   r.engine_points =
       static_cast<std::uint64_t>(engine.find("points")->as_number());
-  r.factor_hits =
-      static_cast<std::uint64_t>(engine.find("factor_hits")->as_number());
-  r.factorizations =
-      static_cast<std::uint64_t>(engine.find("factorizations")->as_number());
   server.stop();
   return r;
 }
 
 void print_row(const char* label, const RunResult& r) {
   const std::uint64_t total = kClients * kGridSide * kGridSide;
-  std::printf("%-14s %9.1f ms  %5llu reqs -> %5llu solves  "
-              "dedup=%llu  factor hits/factorizations=%llu/%llu\n",
+  std::printf("%-14s %9.1f ms  %5llu reqs -> %5llu solves  dedup=%llu\n",
               label, r.wall_ms, static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(r.engine_points),
-              static_cast<unsigned long long>(r.counters.dedup_hits),
-              static_cast<unsigned long long>(r.factor_hits),
-              static_cast<unsigned long long>(r.factorizations));
+              static_cast<unsigned long long>(r.counters.dedup_hits));
 }
 
 }  // namespace
@@ -123,10 +106,10 @@ int main() {
   bench::print_header(
       "serve",
       "oftec-serve micro-batching: concurrent clients sweeping the same "
-      "operating points share solves and warm factorizations");
+      "operating points share solves");
 
   std::printf("%zu clients x %zu points each, one shared session "
-              "(8x8 grid, direct solves)\n\n",
+              "(8x8 grid)\n\n",
               kClients, kGridSide * kGridSide);
 
   const RunResult serial = run_scenario(/*max_batch_size=*/1);
@@ -143,9 +126,8 @@ int main() {
               static_cast<unsigned long long>(batched.counters.dedup_hits),
               static_cast<unsigned long long>(
                   batched.counters.batched_points));
-  if (batched.factor_hits == 0) {
-    std::printf("WARNING: factor cache never hit — check "
-                "EngineOptions::use_iterative plumbing\n");
+  if (batched.counters.dedup_hits == 0) {
+    std::printf("FAIL: batching deduplicated no solves\n");
     return 1;
   }
   return 0;

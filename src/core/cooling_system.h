@@ -67,9 +67,8 @@ class CoolingSystem {
     std::size_t grid_ny = 10;
     thermal::SteadyOptions steady;
     /// Options for the batched SolveEngine behind evaluate(). In particular
-    /// use_iterative=false forces every solve through the cached direct
-    /// factorization path (the serving benchmark uses this to surface the
-    /// factor cache).
+    /// use_iterative=false forces every linear solve through a direct
+    /// banded factorization instead of warm-started CG.
     thermal::EngineOptions engine;
     std::size_t cache_limit = 1 << 14;
     /// Explicit TEC placement; empty → the paper's default policy (cover

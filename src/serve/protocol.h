@@ -123,8 +123,8 @@ struct BindParams {
   std::size_t grid_ny = 10;
   double t_max_c = 0.0;  ///< thermal threshold override [°C]; 0 → default
   bool with_tec = true;
-  /// Force every solve through the cached direct factorization path
-  /// (EngineOptions::use_iterative = false) — surfaces the factor cache.
+  /// Force every linear solve through a direct banded factorization
+  /// (EngineOptions::use_iterative = false) instead of warm-started CG.
   bool direct_solve = false;
   /// Benchmark names to pre-train a LUT controller on (one OFTEC run each
   /// at bind time); empty → session has no LUT and lut requests fail.

@@ -511,8 +511,6 @@ util::json::Value Server::stats_json(std::uint64_t session_id) const {
       engine["points"] = es.points;
       engine["linear_solves"] = es.linear_solves;
       engine["cg_iterations"] = es.cg_iterations;
-      engine["factorizations"] = es.factorizations;
-      engine["factor_hits"] = es.factor_hits;
       engine["direct_fallbacks"] = es.direct_fallbacks;
       json::Value sess = json::Value::object();
       sess["id"] = session->id();

@@ -1,12 +1,8 @@
 #include "thermal/solve_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <list>
-#include <map>
 #include <mutex>
 #include <new>
 #include <stdexcept>
@@ -21,11 +17,9 @@ namespace oftec::thermal {
 
 namespace {
 
-std::uint64_t bits_of(double x) noexcept {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &x, sizeof(u));
-  return u;
-}
+/// Krylov tolerance for intermediate Newton iterations; the final result is
+/// always polished to SteadyOptions::iterative_tolerance.
+constexpr double kInnerTolerance = 1e-6;
 
 // Registry mirrors of the per-engine counters (names: docs/observability.md).
 const obs::Counter g_obs_points = obs::counter("solve_engine.points");
@@ -33,15 +27,8 @@ const obs::Counter g_obs_linear_solves =
     obs::counter("solve_engine.linear_solves");
 const obs::Counter g_obs_cg_iterations_total =
     obs::counter("solve_engine.cg_iterations_total");
-const obs::Counter g_obs_factorizations =
-    obs::counter("solve_engine.factorizations");
-const obs::Counter g_obs_factor_hits = obs::counter("solve_engine.factor_hits");
 const obs::Counter g_obs_direct_fallbacks =
     obs::counter("solve_engine.direct_fallbacks");
-const obs::Gauge g_obs_factor_hit_rate =
-    obs::gauge("solve_engine.factor_hit_rate");
-const obs::Gauge g_obs_factor_shard_entries =
-    obs::gauge("solve_engine.factor_shard_entries");
 const obs::Histogram g_obs_cg_iterations = obs::histogram(
     "solve_engine.cg_iterations",
     {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0});
@@ -50,141 +37,6 @@ const obs::Histogram g_obs_newton_iterations =
                    {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Factor cache
-// ---------------------------------------------------------------------------
-
-/// The matrix M(ω, I, linearization) is fully determined by ω, the per-cell
-/// currents, and the per-cell leakage slopes (intercepts only move the rhs).
-/// Keys compare the raw IEEE-754 bits of exactly those inputs, so a hit
-/// always returns the factor of a bit-identical matrix — correctness and
-/// determinism never depend on quantization or hit order.
-struct FactorKey {
-  std::uint64_t omega = 0;
-  std::vector<std::uint64_t> current;
-  std::vector<std::uint64_t> slope;
-
-  friend bool operator<(const FactorKey& a, const FactorKey& b) noexcept {
-    if (a.omega != b.omega) return a.omega < b.omega;
-    if (a.current != b.current) return a.current < b.current;
-    return a.slope < b.slope;
-  }
-};
-
-/// A cached direct factorization: Cholesky when the system is SPD, pivoted
-/// LU otherwise (near runaway the TEC/leakage terms can push the matrix
-/// indefinite). Both solvers are const-thread-safe once built.
-struct FactorEntry {
-  std::shared_ptr<const la::BandedCholeskyNumeric> cholesky;
-  std::shared_ptr<const la::BandedLu> lu;
-};
-
-/// Sharded LRU. Every direct solve in a batch takes the cache lock at least
-/// once; a single mutex serializes run_batch workers exactly where the
-/// engine is supposed to scale. Keys spread across independent shards by a
-/// hash of their bits, so concurrent lookups of different operating points
-/// contend only 1/kShards of the time. Correctness is unaffected: keys are
-/// exact, so whichever shard holds a key returns the factor of a
-/// bit-identical matrix, and eviction order never influences results.
-struct SolveEngine::FactorCache {
-  static constexpr std::size_t kShards = 8;
-
-  using LruList = std::list<std::pair<FactorKey, FactorEntry>>;
-
-  struct Shard {
-    std::mutex mutex;
-    LruList lru;  // front = most recently used
-    std::map<FactorKey, LruList::iterator> index;
-    std::size_t capacity = 0;
-  };
-
-  explicit FactorCache(std::size_t cap) {
-    // Distribute the budget; every shard gets at least one slot when the
-    // cache is enabled at all so small capacities still cache something.
-    for (Shard& s : shards) {
-      s.capacity = cap == 0 ? 0 : std::max<std::size_t>(1, cap / kShards);
-    }
-  }
-
-  Shard shards[kShards];
-
-  std::atomic<std::size_t> points{0};
-  std::atomic<std::size_t> linear_solves{0};
-  std::atomic<std::size_t> cg_iterations{0};
-  std::atomic<std::size_t> factorizations{0};
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> direct_fallbacks{0};
-
-  [[nodiscard]] static std::size_t shard_of(const FactorKey& key) noexcept {
-    // FNV-1a over the key's IEEE bit words; the same key always lands in
-    // the same shard, neighbouring ω values land in different ones.
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t w) {
-      h ^= w;
-      h *= 1099511628211ull;
-    };
-    mix(key.omega);
-    for (const std::uint64_t w : key.current) mix(w);
-    for (const std::uint64_t w : key.slope) mix(w);
-    return static_cast<std::size_t>(h % kShards);
-  }
-
-  [[nodiscard]] bool find(const FactorKey& key, FactorEntry& out) {
-    Shard& s = shards[shard_of(key)];
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) return false;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    out = s.lru.front().second;
-    hits.fetch_add(1, std::memory_order_relaxed);
-    g_obs_factor_hits.add();
-    return true;
-  }
-
-  void reset_counters() {
-    points.store(0, std::memory_order_relaxed);
-    linear_solves.store(0, std::memory_order_relaxed);
-    cg_iterations.store(0, std::memory_order_relaxed);
-    factorizations.store(0, std::memory_order_relaxed);
-    hits.store(0, std::memory_order_relaxed);
-    direct_fallbacks.store(0, std::memory_order_relaxed);
-  }
-
-  void erase(const FactorKey& key) {
-    Shard& s = shards[shard_of(key)];
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) return;
-    s.lru.erase(it->second);
-    s.index.erase(it);
-  }
-
-  void insert(FactorKey key, FactorEntry entry) {
-    Shard& s = shards[shard_of(key)];
-    std::size_t entries = 0;
-    {
-      const std::lock_guard<std::mutex> lock(s.mutex);
-      if (s.capacity == 0) return;
-      if (const auto it = s.index.find(key); it != s.index.end()) {
-        // Another thread factored the same point concurrently; keep the
-        // incumbent (identical by construction) and refresh its recency.
-        s.lru.splice(s.lru.begin(), s.lru, it->second);
-        return;
-      }
-      s.lru.emplace_front(std::move(key), std::move(entry));
-      s.index.emplace(s.lru.front().first, s.lru.begin());
-      if (s.lru.size() > s.capacity) {
-        s.index.erase(s.lru.back().first);
-        s.lru.pop_back();
-      }
-      entries = s.lru.size();
-    }
-    if (obs::enabled()) {
-      g_obs_factor_shard_entries.set(static_cast<double>(entries));
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Per-solve workspace (one per thread of execution; never shared)
@@ -241,23 +93,23 @@ SolveEngine::SolveEngine(const ThermalModel& model,
       std::vector<power::TaylorCoefficients>(cells));
   symbolic_ = std::make_shared<const la::BandedCholeskySymbolic>(
       la::BandedCholeskySymbolic::analyze(probe.matrix));
-  cache_ = std::make_unique<FactorCache>(options_.factor_cache_capacity);
 }
-
-SolveEngine::~SolveEngine() = default;
 
 EngineStats SolveEngine::stats() const {
   EngineStats s;
-  s.points = cache_->points.load(std::memory_order_relaxed);
-  s.linear_solves = cache_->linear_solves.load(std::memory_order_relaxed);
-  s.cg_iterations = cache_->cg_iterations.load(std::memory_order_relaxed);
-  s.factorizations = cache_->factorizations.load(std::memory_order_relaxed);
-  s.factor_hits = cache_->hits.load(std::memory_order_relaxed);
-  s.direct_fallbacks = cache_->direct_fallbacks.load(std::memory_order_relaxed);
+  s.points = points_.load(std::memory_order_relaxed);
+  s.linear_solves = linear_solves_.load(std::memory_order_relaxed);
+  s.cg_iterations = cg_iterations_.load(std::memory_order_relaxed);
+  s.direct_fallbacks = direct_fallbacks_.load(std::memory_order_relaxed);
   return s;
 }
 
-void SolveEngine::reset_stats() const { cache_->reset_counters(); }
+void SolveEngine::reset_stats() const {
+  points_.store(0, std::memory_order_relaxed);
+  linear_solves_.store(0, std::memory_order_relaxed);
+  cg_iterations_.store(0, std::memory_order_relaxed);
+  direct_fallbacks_.store(0, std::memory_order_relaxed);
+}
 
 bool SolveEngine::physical(const la::Vector& temperatures) const {
   const double runaway = steady_.runaway_temperature;
@@ -271,77 +123,27 @@ bool SolveEngine::solve_direct(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& taylor, Workspace& ws,
     la::Vector& out) const {
-  static const fault::Site factor_corrupt =
-      fault::site("solve_engine.factor_corrupt");
-  cache_->direct_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  direct_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   g_obs_direct_fallbacks.add();
-
-  FactorKey key;
-  key.omega = bits_of(omega);
-  key.current.reserve(cell_current.size());
-  for (const double c : cell_current) key.current.push_back(bits_of(c));
-  key.slope.reserve(taylor.size());
-  for (const power::TaylorCoefficients& tc : taylor) {
-    key.slope.push_back(bits_of(tc.a));
-  }
-
   const AssembledSystem sys =
       assembler_.assemble_banded(omega, cell_current, taylor);
-  const auto factorize = [&](FactorEntry& e) -> bool {
-    cache_->factorizations.fetch_add(1, std::memory_order_relaxed);
-    g_obs_factorizations.add();
-    auto numeric = std::make_shared<la::BandedCholeskyNumeric>(symbolic_);
+  la::BandedCholeskyNumeric cholesky(symbolic_);
+  try {
+    cholesky.refactorize(sys.matrix);
+  } catch (const std::runtime_error&) {
+    // Not positive definite: near runaway the TEC/leakage terms can push the
+    // matrix indefinite, so fall back to pivoted LU below.
+  }
+  if (cholesky.factorized()) {
+    out = cholesky.solve(sys.rhs);
+  } else {
     try {
-      numeric->refactorize(sys.matrix);
-      e.cholesky = std::move(numeric);
-      return true;
+      out = la::solve_banded(sys.matrix, sys.rhs);
     } catch (const std::runtime_error&) {
-      // Not positive definite — fall back to pivoted LU.
-      try {
-        e.lu = std::make_shared<const la::BandedLu>(sys.matrix);
-        return true;
-      } catch (const std::runtime_error&) {
-        return false;  // genuinely singular: runaway
-      }
-    }
-  };
-
-  FactorEntry entry;
-  const bool hit = cache_->find(key, entry);
-  if (!hit) {
-    if (!factorize(entry)) return false;
-    cache_->insert(key, entry);
-  }
-
-  if (obs::enabled()) {
-    const auto hits =
-        static_cast<double>(cache_->hits.load(std::memory_order_relaxed));
-    const auto misses = static_cast<double>(
-        cache_->factorizations.load(std::memory_order_relaxed));
-    if (hits + misses > 0.0) {
-      g_obs_factor_hit_rate.set(hits / (hits + misses));
+      return false;  // genuinely singular: runaway
     }
   }
-
-  out = entry.cholesky ? entry.cholesky->solve(sys.rhs)
-                       : entry.lu->solve(sys.rhs);
-  if (hit && factor_corrupt.should_fail()) {
-    // Simulate a rotted cached factor: the numbers come back garbage.
-    for (double& t : out) t = std::numeric_limits<double>::quiet_NaN();
-  }
-  if (!physical(out)) {
-    if (!hit) return false;  // fresh factor: the point is genuinely runaway
-    // Self-healing: a cached factor produced a non-physical solution where a
-    // fresh factorization might not (corruption, or a stale borderline
-    // factor). Evict it, refactorize from the assembled matrix, retry once.
-    cache_->erase(key);
-    FactorEntry fresh;
-    if (!factorize(fresh)) return false;
-    out = fresh.cholesky ? fresh.cholesky->solve(sys.rhs)
-                         : fresh.lu->solve(sys.rhs);
-    cache_->insert(std::move(key), std::move(fresh));
-    if (!physical(out)) return false;
-  }
+  if (!physical(out)) return false;
   ws.warm = out;
   ws.have_warm = true;
   return true;
@@ -351,7 +153,7 @@ bool SolveEngine::solve_linear(
     double omega, const la::Vector& cell_current,
     const std::vector<power::TaylorCoefficients>& taylor, double tolerance,
     Workspace& ws, la::Vector& out) const {
-  cache_->linear_solves.fetch_add(1, std::memory_order_relaxed);
+  linear_solves_.fetch_add(1, std::memory_order_relaxed);
   g_obs_linear_solves.add();
   if (options_.use_iterative) {
     assembler_.assemble_csr(omega, cell_current, taylor, ws.csr);
@@ -365,7 +167,7 @@ bool SolveEngine::solve_linear(
     // to the pivoted direct path below.
     const la::IterativeResult it =
         la::solve_cg(ws.csr.matrix, ws.csr.rhs, iopts);
-    cache_->cg_iterations.fetch_add(it.iterations, std::memory_order_relaxed);
+    cg_iterations_.fetch_add(it.iterations, std::memory_order_relaxed);
     g_obs_cg_iterations_total.add(it.iterations);
     if (obs::enabled()) {
       g_obs_cg_iterations.observe(static_cast<double>(it.iterations));
@@ -386,7 +188,7 @@ SteadyResult SolveEngine::solve_point(double omega, Workspace& ws) const {
       fault::site("solve_engine.nonconverge");
   static const fault::Site nan_escape = fault::site("solve_engine.nan");
   OBS_SPAN("solve_engine.solve_point");
-  cache_->points.fetch_add(1, std::memory_order_relaxed);
+  points_.fetch_add(1, std::memory_order_relaxed);
   g_obs_points.add();
   if (alloc_fail.should_fail()) {
     throw std::bad_alloc();  // what a failed Workspace/factor alloc raises
@@ -468,8 +270,7 @@ SteadyResult SolveEngine::solve_point_impl(double omega, Workspace& ws) const {
       // polish solve at the reference tolerance produces the reported state.
       la::Vector t_ref(cells, model.config().ambient + 10.0);
       la::Vector temps;
-      const double inner_tol =
-          std::min(options_.inner_tolerance, polish_tol * 1e3);
+      const double inner_tol = std::min(kInnerTolerance, polish_tol * 1e3);
       for (std::size_t it = 1; it <= sopts.max_iterations; ++it) {
         for (std::size_t i = 0; i < cells; ++i) {
           ws.taylor[i] = power::tangent_linearize(leakage[i], t_ref[i]);

@@ -16,13 +16,13 @@
 //      start from the previous iterate and run at a loose tolerance until
 //      the outer loop converges, then a final polish solve tightens the
 //      result to SteadyOptions::iterative_tolerance.
-//   3. Factor reuse — direct-solve fallbacks (near thermal runaway, or when
-//      use_iterative is off) go through a split symbolic/numeric banded
-//      Cholesky whose symbolic analysis is done once per package stack,
-//      with an LRU cache of numeric factors keyed bit-exactly on
-//      (ω, I_TEC, leakage linearization) so re-visited operating points hit
-//      warm factors. Keys are exact, so a cache hit returns the factor of
-//      an *identical* matrix and results never depend on hit order.
+//   3. One symbolic analysis — direct solves (near thermal runaway, or when
+//      use_iterative is off) factor each linearized system afresh with a
+//      banded Cholesky bound to a symbolic analysis done once per package
+//      stack, falling back to pivoted LU when the matrix is not SPD. No
+//      factor outlives its solve: Newton re-linearizes leakage at every
+//      iterate, so the matrix's bits change within a point, and
+//      CoolingSystem's (ω, I) memo answers exact revisits across points.
 //
 // SolveBatch fans points across a work-stealing thread pool (util/): every
 // point is computed independently from the same deterministic initial guess,
@@ -31,12 +31,13 @@
 // tests/thermal/test_batched_vs_serial.cpp).
 //
 // Thread-safety contract: solve()/solve_batch() are const and safe to call
-// concurrently; the factor cache and statistics are internally synchronized.
+// concurrently; every solve works on its own workspace and factors, and the
+// statistics are relaxed atomics.
 // The ThermalModel must outlive the engine and is never mutated.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -57,19 +58,9 @@ struct EngineOptions {
   /// Worker threads for solve_batch(); 0 → OFTEC_THREADS env or hardware
   /// concurrency (util::ThreadPool::default_thread_count()).
   std::size_t threads = 0;
-  /// Numeric factors kept warm (LRU). Each factor holds (bandwidth+1)·n
-  /// doubles — ~0.7 MB at the default 10×10 grid. The cache is split into
-  /// 8 hash-sharded LRUs (capacity/8 each, minimum 1) so batch workers
-  /// looking up different operating points rarely contend on one mutex;
-  /// 0 disables caching entirely.
-  std::size_t factor_cache_capacity = 64;
-  /// Try warm-started CG before the direct path. Off → every solve is a
-  /// direct cached factorization, which exercises the factor cache
-  /// exclusively.
+  /// Try warm-started CG before the direct path. Off → every linear solve
+  /// is a direct banded factorization.
   bool use_iterative = true;
-  /// Krylov tolerance for intermediate Newton iterations; the final result
-  /// is always polished to SteadyOptions::iterative_tolerance.
-  double inner_tolerance = 1e-6;
 };
 
 /// Point-in-time snapshot of the engine's internally-atomic counters.
@@ -84,9 +75,8 @@ struct EngineStats {
   std::size_t points = 0;           ///< operating points evaluated
   std::size_t linear_solves = 0;    ///< linear systems solved (Newton iters)
   std::size_t cg_iterations = 0;    ///< total Krylov iterations
-  std::size_t factorizations = 0;   ///< numeric (re)factorizations performed
-  std::size_t factor_hits = 0;      ///< LRU factor cache hits
   std::size_t direct_fallbacks = 0; ///< solves that needed the direct path
+                                    ///< (one fresh factorization each)
 };
 
 class SolveEngine {
@@ -98,7 +88,6 @@ class SolveEngine {
   SolveEngine(const ThermalModel& model, la::Vector cell_dynamic_power,
               std::vector<power::ExponentialTerm> cell_leakage,
               SteadyOptions steady = {}, EngineOptions options = {});
-  ~SolveEngine();
 
   SolveEngine(const SolveEngine&) = delete;
   SolveEngine& operator=(const SolveEngine&) = delete;
@@ -140,11 +129,9 @@ class SolveEngine {
   [[nodiscard]] EngineStats stats() const;
 
   /// Zero the stats accumulators (see EngineStats for epoch semantics).
-  /// The factor cache contents are untouched.
   void reset_stats() const;
 
  private:
-  struct FactorCache;
   struct Workspace;
 
   /// Core path: ws.cell_current must already hold the per-cell currents.
@@ -167,7 +154,11 @@ class SolveEngine {
   IncrementalAssembler assembler_;
   std::vector<power::ExponentialTerm> leakage_;
   std::shared_ptr<const la::BandedCholeskySymbolic> symbolic_;
-  std::unique_ptr<FactorCache> cache_;
+  // EngineStats accumulators.
+  mutable std::atomic<std::size_t> points_{0};
+  mutable std::atomic<std::size_t> linear_solves_{0};
+  mutable std::atomic<std::size_t> cg_iterations_{0};
+  mutable std::atomic<std::size_t> direct_fallbacks_{0};
   mutable std::unique_ptr<util::ThreadPool> pool_;  // lazy
   mutable std::mutex pool_mutex_;
 };

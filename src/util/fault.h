@@ -7,7 +7,6 @@
 //
 //   solve_engine.nonconverge   Newton loop reports non-convergence
 //   solve_engine.nan           non-finite temperatures escape the solver core
-//   solve_engine.factor_corrupt  a cached numeric factor returns garbage
 //   solve_engine.alloc_fail    allocation failure at solve entry (bad_alloc)
 //   transient_engine.factor_corrupt  a cached transient factor returns
 //                              garbage (stepper must self-heal bit-exactly)

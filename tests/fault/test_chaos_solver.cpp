@@ -106,34 +106,6 @@ TEST_F(ChaosSolverTest, SweepUnderFaultsNeverLiesAboutSuccess) {
   (void)degraded;
 }
 
-TEST_F(ChaosSolverTest, CorruptedCachedFactorRecoversBitIdentically) {
-  // Direct-solve engine: every solve goes through the factor cache.
-  core::CoolingSystem::Config cfg = coarse_config();
-  cfg.engine.use_iterative = false;
-  const core::CoolingSystem system(
-      fp(), core::testing::benchmark_power(workload::Benchmark::kSusan),
-      leakage(), cfg);
-
-  const thermal::OperatingPoint p{0.6 * system.omega_max(), 0.0};
-  const thermal::SteadyResult clean = system.engine().solve(p);
-  ASSERT_EQ(clean.status, SolveStatus::kOk);
-
-  // Every cache hit now returns a corrupted factor; the engine must evict,
-  // refactorize from the assembled matrix, and reproduce the clean answer
-  // bit for bit.
-  (void)fault::arm("solve_engine.factor_corrupt", 1.0, 7);
-  const thermal::SteadyResult recovered = system.engine().solve(p);
-  EXPECT_GT(fault::fires("solve_engine.factor_corrupt"), 0u);
-  ASSERT_EQ(recovered.status, SolveStatus::kOk);
-  EXPECT_EQ(recovered.max_chip_temperature, clean.max_chip_temperature);
-  EXPECT_EQ(recovered.leakage_power, clean.leakage_power);
-  EXPECT_EQ(recovered.tec_power, clean.tec_power);
-  ASSERT_EQ(recovered.temperatures.size(), clean.temperatures.size());
-  for (std::size_t i = 0; i < clean.temperatures.size(); ++i) {
-    EXPECT_EQ(recovered.temperatures[i], clean.temperatures[i]);
-  }
-}
-
 TEST_F(ChaosSolverTest, CorruptedTransientFactorSelfHealsBitIdentically) {
   // Transient engine: a nonzero hold window makes most steps cache hits, and
   // every hit now hands back a corrupted solve. The stepper must detect the

@@ -3,11 +3,11 @@
 //
 // The bracket-style golden-run test (test_golden_run.cpp) tolerates ±15 %
 // so it survives recalibration; this one exists for the opposite reason —
-// the batched solve engine, factor cache, and parallel sweeps are all
-// claimed to be *exact* rewrites of the serial pipeline, so the end-to-end
-// numbers must not move at all. Three workloads × three cooling systems
-// (hybrid OFTEC, variable-ω fan-only, fixed 2000 RPM fan-only) at the
-// default 10×10 deployment grid.
+// the batched solve engine and the parallel sweeps are claimed to be
+// *exact* rewrites of the serial pipeline, so the end-to-end numbers must
+// not move at all. Three workloads × three cooling systems (hybrid OFTEC,
+// variable-ω fan-only, fixed 2000 RPM fan-only) at the default 10×10
+// deployment grid.
 //
 // Regenerate after an intentional physics/calibration change with
 //   OFTEC_UPDATE_GOLDEN=1 ./test_table2_golden

@@ -9,8 +9,8 @@
 //     1e-9 on the same random SPD banded system;
 //   * refactorize() after a diagonal perturbation (the shape of every
 //     operating-point change in the thermal matrix) is bit-identical to a
-//     fresh factorization of the perturbed matrix — the invariant that makes
-//     the engine's factor cache safe.
+//     fresh factorization of the perturbed matrix, so reusing a numeric
+//     factor's storage can never move a result.
 #include <gtest/gtest.h>
 
 #include <algorithm>

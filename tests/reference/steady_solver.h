@@ -3,9 +3,9 @@
 // The plain outer Newton loop of Sec. 4: re-linearize the exponential
 // leakage at the current chip temperatures, assemble the full banded system
 // with ThermalModel::assemble, and solve it with a fresh pivoted BandedLu —
-// an exact function of each linearization, with no Krylov tolerance, warm
-// start or factor cache in the way. The engine agrees with it to 1e-3 K on
-// converged points and on every runaway verdict.
+// an exact function of each linearization, with no Krylov tolerance or warm
+// start in the way. The engine agrees with it to 1e-3 K on converged points
+// and on every runaway verdict.
 #pragma once
 
 #include <vector>

@@ -521,7 +521,7 @@ TEST(ServeServer, StatsReportEngineCounters) {
   server.start();
   Client client = Client::connect(server.port());
   BindParams bind = susan_bind();
-  bind.direct_solve = true;  // exercise the factor-cache path
+  bind.direct_solve = true;  // every linear solve takes the direct path
   const BindReply chip = client.bind(bind);
 
   (void)client.solve(chip.session, 0.5 * chip.omega_max, 0.0);
@@ -535,9 +535,10 @@ TEST(ServeServer, StatsReportEngineCounters) {
   ASSERT_NE(session, nullptr);
   const util::json::Value* engine = session->find("engine");
   ASSERT_NE(engine, nullptr);
-  // The repeated point either hit the evaluation memo or the factor cache;
-  // points were definitely evaluated.
   EXPECT_GE(engine->find("points")->as_number(), 1.0);
+  const util::json::Value* fallbacks = engine->find("direct_fallbacks");
+  ASSERT_NE(fallbacks, nullptr);
+  EXPECT_GE(fallbacks->as_number(), 1.0);
   server.stop();
 }
 

@@ -1,10 +1,11 @@
 // Batched SolveEngine vs its serial reference path — exact equality.
 //
 // Every engine solve is a pure function of (ω, I_TEC): fixed initial guess,
-// no cross-point warm-start chaining, bit-exact factor-cache keys. So the
-// batched result vector must match solve_serial() with tolerance ZERO — on
-// every field, at every thread count, including the full node-temperature
-// vectors. Any drift means scheduling leaked into the arithmetic.
+// no cross-point warm-start chaining, and direct solves factor afresh. So
+// the batched result vector must match solve_serial() with tolerance ZERO —
+// on every field, at every thread count, on both the iterative and the
+// direct engine, including the full node-temperature vectors. Any drift
+// means scheduling leaked into the arithmetic.
 #include "thermal/solve_engine.h"
 
 #include <gtest/gtest.h>
@@ -54,8 +55,11 @@ const Workload& workload() {
   return w;
 }
 
-SolveEngine make_engine() {
-  return SolveEngine(model(), workload().dynamic, workload().leak);
+SolveEngine make_engine(bool use_iterative = true) {
+  EngineOptions options;
+  options.use_iterative = use_iterative;
+  return SolveEngine(model(), workload().dynamic, workload().leak, {},
+                     options);
 }
 
 /// 4×4 (I_TEC, ω) grid spanning runaway (ω = 0 column) through overdriven.
@@ -95,16 +99,23 @@ void expect_identical(const SteadyResult& a, const SteadyResult& b,
 class BatchedVsSerialTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BatchedVsSerialTest, BatchBitIdenticalToSerialReference) {
-  const SolveEngine engine = make_engine();
+  // The direct engine (use_iterative = false) runs concurrent banded
+  // factorizations, one per linear solve, with no shared factor state.
   const std::vector<OperatingPoint> pts = grid16();
-
-  const std::vector<SteadyResult> serial = engine.solve_serial(pts);
   util::ThreadPool pool(GetParam());
-  const std::vector<SteadyResult> batch = engine.solve_batch(pts, pool);
+  for (const bool use_iterative : {true, false}) {
+    SCOPED_TRACE(use_iterative ? "iterative engine" : "direct engine");
+    const SolveEngine engine = make_engine(use_iterative);
+    const std::vector<SteadyResult> serial = engine.solve_serial(pts);
+    const std::vector<SteadyResult> batch = engine.solve_batch(pts, pool);
 
-  ASSERT_EQ(batch.size(), serial.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    expect_identical(serial[i], batch[i], i);
+    ASSERT_EQ(batch.size(), serial.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      expect_identical(serial[i], batch[i], i);
+    }
+    if (!use_iterative) {
+      EXPECT_EQ(engine.stats().linear_solves, engine.stats().direct_fallbacks);
+    }
   }
 }
 
@@ -115,9 +126,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, BatchedVsSerialTest,
                            return "t" + std::to_string(info.param);
                          });
 
-TEST(BatchedVsSerial, RepeatedBatchesAreIdenticalDespiteCacheState) {
-  // A second pass re-runs with a warm factor cache; cache hits must return
-  // factors of identical matrices, so results cannot move.
+TEST(BatchedVsSerial, RepeatedBatchesAreIdentical) {
   const SolveEngine engine = make_engine();
   const std::vector<OperatingPoint> pts = grid16();
 

@@ -108,6 +108,11 @@ int main(int argc, char** argv) {
   }
 
   // --- 3: kStats snapshot, then delta-since-cursor --------------------------
+  // A reply's write stage is recorded after write_frame returns, so the
+  // client can hold reply 5 before serve.write_us counts it. One ping round
+  // trip fences that: the connection's writer is FIFO, so the ping reply
+  // goes out only after write 5 is recorded.
+  client.ping();
   const char* kStageHists[] = {"serve.queue_wait_us", "serve.batch_wait_us",
                                "serve.solve_us", "serve.write_us"};
   const util::json::Value snap = client.raw_stats(StatsParams{});
