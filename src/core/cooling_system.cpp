@@ -1,10 +1,12 @@
 #include "core/cooling_system.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "util/obs.h"
+#include "util/thread_pool.h"
 
 namespace oftec::core {
 
@@ -70,7 +72,7 @@ CoolingSystem::CoolingSystem(const floorplan::Floorplan& fp,
       config.steady, config.engine);
 }
 
-Evaluation CoolingSystem::evaluate(double omega, double current) const {
+void CoolingSystem::check_point(double omega, double current) const {
   if (!(omega >= 0.0) || omega > omega_max() * (1.0 + 1e-9)) {
     throw std::invalid_argument("CoolingSystem::evaluate: omega out of range");
   }
@@ -79,6 +81,10 @@ Evaluation CoolingSystem::evaluate(double omega, double current) const {
     throw std::invalid_argument(
         "CoolingSystem::evaluate: current out of range");
   }
+}
+
+Evaluation CoolingSystem::evaluate(double omega, double current) const {
+  check_point(omega, current);
 
   g_obs_evaluations.add();
   const auto key = std::make_pair(omega, current);
@@ -109,6 +115,44 @@ Evaluation CoolingSystem::evaluate(double omega, double current) const {
   ++solve_count_;
   cache_.emplace(key, ev);
   return ev;
+}
+
+void CoolingSystem::prefetch(
+    const std::vector<thermal::OperatingPoint>& points) const {
+  for (const thermal::OperatingPoint& p : points) {
+    check_point(p.omega, p.current);
+  }
+  std::vector<thermal::OperatingPoint> misses;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const thermal::OperatingPoint& p : points) {
+      const bool queued = std::any_of(
+          misses.begin(), misses.end(), [&](const thermal::OperatingPoint& m) {
+            return m.omega == p.omega && m.current == p.current;
+          });
+      if (!queued && cache_.count({p.omega, p.current}) == 0) {
+        misses.push_back(p);
+      }
+    }
+  }
+  // A lone miss gains nothing from the pool, and inside another pool's body
+  // (LUT construction, a Pareto sweep) the batch could only run inline —
+  // while creating this engine's pool would spawn idle threads per system.
+  // evaluate() solves such points as they are read.
+  if (misses.size() < 2 || util::ThreadPool::inside_parallel_body()) return;
+
+  OBS_SPAN("cooling.prefetch");
+  const std::vector<thermal::SteadyResult> results =
+      engine_->solve_batch(misses);
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    g_obs_evaluations.add();
+    ++solve_count_;
+    if (cache_.size() >= cache_limit_) cache_.clear();
+    cache_.emplace(std::make_pair(misses[i].omega, misses[i].current),
+                   make_evaluation(*model_, results[i], misses[i].omega));
+  }
 }
 
 double CoolingSystem::t_max() const noexcept { return model_->config().t_max; }

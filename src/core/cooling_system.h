@@ -8,7 +8,9 @@
 //   𝒫(ω, I) — cooling-related power P_leakage + P_TEC + P_fan (Eq. 10).
 // Evaluations are memoized: the SQP evaluates 𝒯 and 𝒫 at identical points
 // (objective + constraint + finite differences), and each uncached point
-// costs a full nonlinear thermal solve.
+// costs a full nonlinear thermal solve. prefetch() fills the memo with a
+// whole finite-difference stencil as one parallel engine batch, so the
+// serial gradient that follows only reads it.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "floorplan/floorplan.h"
 #include "package/package_config.h"
@@ -91,6 +94,17 @@ class CoolingSystem {
   /// regardless of call order or thread count. Safe to call concurrently.
   [[nodiscard]] Evaluation evaluate(double omega, double current) const;
 
+  /// Memoize `points` ahead of the evaluate() calls that will ask for them.
+  /// Points already in the memo and duplicates are skipped; when two or more
+  /// remain they are solved as one SolveEngine::solve_batch across the
+  /// engine's pool. Inside another pool's parallel_for body, where the batch
+  /// could only run inline, it does nothing and evaluate() solves. Each point
+  /// solved counts in evaluation_count() exactly as an evaluate() miss would,
+  /// and the later evaluate() reads count as cache hits. Results are the
+  /// ones evaluate() would compute, bit for bit. Same range checks as
+  /// evaluate(); safe to call concurrently with it.
+  void prefetch(const std::vector<thermal::OperatingPoint>& points) const;
+
   [[nodiscard]] double t_max() const noexcept;     ///< [K]
   [[nodiscard]] double ambient() const noexcept;   ///< [K]
   [[nodiscard]] double omega_max() const noexcept; ///< [rad/s]
@@ -117,6 +131,9 @@ class CoolingSystem {
   [[nodiscard]] std::size_t cache_hits() const noexcept { return cache_hits_; }
 
  private:
+  /// Throws std::invalid_argument unless (ω, I) is in evaluate()'s domain.
+  void check_point(double omega, double current) const;
+
   std::unique_ptr<thermal::ThermalModel> model_;
   std::unique_ptr<thermal::SolveEngine> engine_;
   std::size_t cache_limit_;

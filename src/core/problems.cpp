@@ -1,6 +1,7 @@
 #include "core/problems.h"
 
 #include <stdexcept>
+#include <vector>
 
 namespace oftec::core {
 
@@ -55,6 +56,13 @@ la::Vector CoolingProblem::constraints(const la::Vector& x) const {
   if (!temperature_constraint_) return {};
   const Evaluation ev = system_->evaluate(omega_of(x), current_of(x));
   return {ev.max_chip_temperature - (t_max_ - strictness_)};
+}
+
+void CoolingProblem::prefetch(const std::vector<la::Vector>& xs) const {
+  std::vector<thermal::OperatingPoint> points;
+  points.reserve(xs.size());
+  for (const la::Vector& x : xs) points.push_back({omega_of(x), current_of(x)});
+  system_->prefetch(points);
 }
 
 la::Vector CoolingProblem::midpoint() const {

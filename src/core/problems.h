@@ -30,6 +30,8 @@ class CoolingProblem final : public opt::Problem {
   [[nodiscard]] const opt::Bounds& bounds() const override;
   [[nodiscard]] double objective(const la::Vector& x) const override;
   [[nodiscard]] la::Vector constraints(const la::Vector& x) const override;
+  /// Forwards the points to CoolingSystem::prefetch (one engine batch).
+  void prefetch(const std::vector<la::Vector>& xs) const override;
 
   /// Decode the decision vector.
   [[nodiscard]] double omega_of(const la::Vector& x) const;

@@ -20,13 +20,33 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
+std::vector<la::Vector> central_stencil(const la::Vector& x,
+                                        const Bounds& bounds,
+                                        const FiniteDiffOptions& options) {
+  std::vector<la::Vector> points;
+  points.reserve(2 * x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double h = step_for(x, bounds, options, i);
+    if (h <= 0.0) {
+      throw std::invalid_argument("central_stencil: degenerate step");
+    }
+    la::Vector xp = x;
+    la::Vector xm = x;
+    xp[i] = std::min(x[i] + h, bounds.upper[i]);
+    xm[i] = std::max(x[i] - h, bounds.lower[i]);
+    if (xp[i] - x[i] > 0.0) points.push_back(std::move(xp));
+    if (x[i] - xm[i] > 0.0) points.push_back(std::move(xm));
+  }
+  return points;
+}
+
 la::Vector gradient(const ScalarFn& f, const la::Vector& x,
                     const Bounds& bounds, const FiniteDiffOptions& options,
                     std::size_t* eval_count) {
   const std::size_t n = x.size();
+  const std::vector<la::Vector> stencil = central_stencil(x, bounds, options);
   la::Vector grad(n, 0.0);
-  const double f0_lazy = kInf;  // computed on demand for one-sided falls
-  double f0 = f0_lazy;
+  double f0 = kInf;  // computed on demand
   bool have_f0 = false;
   auto eval = [&](const la::Vector& p) {
     if (eval_count != nullptr) ++(*eval_count);
@@ -40,21 +60,22 @@ la::Vector gradient(const ScalarFn& f, const la::Vector& x,
     return f0;
   };
 
+  // Walk the stencil in order: coordinate i's samples are the next points
+  // whose i-th entry lies above (forward) or below (backward) x[i].
+  std::size_t next = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double h = step_for(x, bounds, options, i);
-    if (h <= 0.0) {
-      throw std::invalid_argument("gradient: degenerate step");
+    double fp = kInf;
+    double fm = kInf;
+    double hp = 0.0;
+    double hm = 0.0;
+    if (next < stencil.size() && stencil[next][i] > x[i]) {
+      hp = stencil[next][i] - x[i];
+      fp = eval(stencil[next++]);
     }
-
-    la::Vector xp = x;
-    la::Vector xm = x;
-    xp[i] = std::min(x[i] + h, bounds.upper[i]);
-    xm[i] = std::max(x[i] - h, bounds.lower[i]);
-    const double hp = xp[i] - x[i];
-    const double hm = x[i] - xm[i];
-
-    double fp = hp > 0.0 ? eval(xp) : kInf;
-    double fm = hm > 0.0 ? eval(xm) : kInf;
+    if (next < stencil.size() && stencil[next][i] < x[i]) {
+      hm = x[i] - stencil[next][i];
+      fm = eval(stencil[next++]);
+    }
 
     if (std::isfinite(fp) && std::isfinite(fm)) {
       grad[i] = (fp - fm) / (hp + hm);

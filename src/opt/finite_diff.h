@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <vector>
 
 #include "la/dense_matrix.h"
 #include "la/vector_ops.h"
@@ -24,8 +25,19 @@ struct FiniteDiffOptions {
   la::Vector scale_floor;
 };
 
-/// Central-difference gradient with one-sided fallback near bounds or +inf
-/// samples. Returns +inf entries when no finite difference is computable.
+/// The points gradient() samples around `x`, in the order it samples them:
+/// for each coordinate i, x + h_i·e_i then x − h_i·e_i, each clamped into the
+/// box and omitted when clamping leaves it equal to x. `x` itself is not
+/// part of the stencil (gradient() evaluates it separately). Callers that can
+/// evaluate many points at once (Problem::prefetch) use this to fetch a whole
+/// gradient's samples ahead of time.
+[[nodiscard]] std::vector<la::Vector> central_stencil(
+    const la::Vector& x, const Bounds& bounds,
+    const FiniteDiffOptions& options);
+
+/// Central-difference gradient over central_stencil(x) with one-sided
+/// fallback near bounds or +inf samples; also evaluates `x` once. Returns
+/// +inf entries when no finite difference is computable.
 [[nodiscard]] la::Vector gradient(const ScalarFn& f, const la::Vector& x,
                                   const Bounds& bounds,
                                   const FiniteDiffOptions& options,

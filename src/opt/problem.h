@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <vector>
 
 #include "la/vector_ops.h"
 #include "util/status.h"
@@ -37,6 +38,12 @@ class Problem {
   /// Constraint values g(x); feasible iff every entry <= 0. Entries may be
   /// +inf in the runaway region.
   [[nodiscard]] virtual la::Vector constraints(const la::Vector& x) const = 0;
+
+  /// Hint that objective() and constraints() are about to be asked at each
+  /// of `xs` (a finite-difference stencil). An implementation may evaluate
+  /// them ahead of time — e.g. as one parallel batch — but must never change
+  /// any later result. The default does nothing.
+  virtual void prefetch(const std::vector<la::Vector>& /*xs*/) const {}
 };
 
 /// Solution report shared by all solvers.

@@ -94,7 +94,9 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
   for (std::size_t iter = 1; iter <= options.max_iterations; ++iter) {
     result.iterations = iter;
 
-    // Gradients of objective and constraints.
+    // Gradients of objective and constraints, all sampled on x's stencil
+    // (already fetched for grad_f_new when the last step was accepted).
+    problem.prefetch(central_stencil(x, bounds, fd));
     const la::Vector grad_f = gradient(
         [&](const la::Vector& p) { return eval_f(p); }, x, bounds, fd);
     bool grad_ok = true;
@@ -207,6 +209,7 @@ OptResult solve_sqp(const Problem& problem, const la::Vector& x0,
     consecutive_failures = 0;
 
     // Damped BFGS update with the Lagrangian gradient difference.
+    problem.prefetch(central_stencil(x_new, bounds, fd));
     const la::Vector grad_f_new = gradient(
         [&](const la::Vector& p) { return eval_f(p); }, x_new, bounds, fd);
     bool new_grad_ok = true;

@@ -2,7 +2,9 @@
 //
 // Solves min f(x) s.t. g(x) ≤ 0, lb ≤ x ≤ ub where f and g come from the
 // thermal simulator (derivative-free, possibly +inf). Each iteration:
-//   1. finite-difference gradients of f and g,
+//   1. finite-difference gradients of f and g — their shared stencil
+//      (opt::central_stencil) is first handed to Problem::prefetch, so a
+//      simulator-backed problem evaluates it as one parallel batch,
 //   2. convex QP subproblem (damped-BFGS Hessian, linearized constraints,
 //      box handled as linear rows) solved exactly by active-set enumeration,
 //   3. ℓ1-merit backtracking line search (rejects +inf samples),

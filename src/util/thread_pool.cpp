@@ -144,6 +144,8 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
   }
 }
 
+bool ThreadPool::inside_parallel_body() noexcept { return t_inside_pool_body; }
+
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;

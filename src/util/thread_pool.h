@@ -58,6 +58,12 @@ class ThreadPool {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
+  /// True while the calling thread runs a body that some pool's
+  /// parallel_for dealt to its participants. Any parallel_for called there
+  /// runs inline, so callers can skip setting up parallel work (or a pool)
+  /// that could not run in parallel.
+  [[nodiscard]] static bool inside_parallel_body() noexcept;
+
  private:
   struct WorkerQueue {
     std::mutex mutex;

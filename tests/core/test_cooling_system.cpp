@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "test_fixtures.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace oftec::core {
@@ -150,6 +151,131 @@ TEST(CoolingSystem, ConcurrentEvaluationsSurviveMemoEviction) {
         mismatches[t] += !same_bits(a, expected[base]);
         mismatches[t] += !same_bits(b, expected[base + 1]);
         mismatches[t] += !same_bits(c, expected[base + 2]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
+}
+
+TEST(CoolingSystem, PrefetchSolvesDuplicatesOnce) {
+  const CoolingSystem sys = make_system(workload::Benchmark::kFft);
+  const CoolingSystem serial = make_system(workload::Benchmark::kFft);
+  const thermal::OperatingPoint a{300.0, 1.0};
+  const thermal::OperatingPoint b{310.0, 1.0};
+  sys.prefetch({a, b, a, b, a});
+  EXPECT_EQ(sys.engine().stats().points, 2u);
+  EXPECT_EQ(sys.evaluation_count(), 2u);
+
+  // The reads that follow are memo hits with the serial bits.
+  EXPECT_TRUE(same_bits(sys.evaluate(a.omega, a.current),
+                        serial.evaluate(a.omega, a.current)));
+  EXPECT_TRUE(same_bits(sys.evaluate(b.omega, b.current),
+                        serial.evaluate(b.omega, b.current)));
+  EXPECT_EQ(sys.evaluation_count(), 2u);
+  EXPECT_EQ(sys.cache_hits(), 2u);
+  EXPECT_EQ(sys.engine().stats().points, 2u);
+}
+
+TEST(CoolingSystem, PrefetchOfMemoizedPointsSolvesNothing) {
+  const CoolingSystem sys = make_system(workload::Benchmark::kFft);
+  (void)sys.evaluate(300.0, 1.0);
+  (void)sys.evaluate(310.0, 1.0);
+  const std::size_t points = sys.engine().stats().points;
+  sys.prefetch({{300.0, 1.0}, {310.0, 1.0}, {300.0, 1.0}});
+  EXPECT_EQ(sys.engine().stats().points, points);
+  // A single miss is left to the evaluate() that asks for it.
+  sys.prefetch({{300.0, 1.0}, {320.0, 1.0}});
+  EXPECT_EQ(sys.engine().stats().points, points);
+  EXPECT_EQ(sys.evaluation_count(), 2u);
+}
+
+TEST(CoolingSystem, PrefetchInsideAPoolBodyLeavesPointsToEvaluate) {
+  // Nested in another pool's parallel_for the batch could only run inline,
+  // so prefetch neither solves nor starts the engine's pool.
+  const CoolingSystem sys = make_system(workload::Benchmark::kFft);
+  util::ThreadPool outer(2);
+  outer.parallel_for(2, [&](std::size_t i) {
+    const double w = 300.0 + 20.0 * static_cast<double>(i);
+    sys.prefetch({{w, 1.0}, {w + 10.0, 1.0}});
+  });
+  EXPECT_EQ(sys.engine().stats().points, 0u);
+  EXPECT_EQ(sys.evaluation_count(), 0u);
+}
+
+TEST(CoolingSystem, PrefetchRejectsOutOfRangePoints) {
+  const CoolingSystem sys = make_system(workload::Benchmark::kFft);
+  EXPECT_THROW(sys.prefetch({{300.0, 1.0}, {-1.0, 1.0}}),
+               std::invalid_argument);
+  EXPECT_THROW(sys.prefetch({{300.0, 1.0}, {300.0, 99.0}}),
+               std::invalid_argument);
+  EXPECT_EQ(sys.engine().stats().points, 0u);
+}
+
+TEST(CoolingSystem, PrefetchOverflowClearsTheMemo) {
+  // A two-entry memo overflows on the third prefetched point: it is cleared
+  // and keeps only that point. Later reads re-solve the evicted points with
+  // identical bits.
+  CoolingSystem::Config cfg = coarse_config();
+  cfg.cache_limit = 2;
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), cfg);
+  const CoolingSystem serial = make_system(workload::Benchmark::kFft);
+  const std::vector<thermal::OperatingPoint> pts = {
+      {300.0, 0.5}, {320.0, 0.5}, {340.0, 0.5}};
+  sys.prefetch(pts);
+  EXPECT_EQ(sys.evaluation_count(), 3u);
+
+  EXPECT_TRUE(same_bits(sys.evaluate(340.0, 0.5), serial.evaluate(340.0, 0.5)));
+  EXPECT_EQ(sys.evaluation_count(), 3u);  // survived the clear
+  EXPECT_TRUE(same_bits(sys.evaluate(300.0, 0.5), serial.evaluate(300.0, 0.5)));
+  EXPECT_EQ(sys.evaluation_count(), 4u);  // evicted, solved again
+  EXPECT_EQ(sys.engine().stats().points, 4u);
+}
+
+TEST(CoolingSystem, ConcurrentPrefetchAndEvaluateMatchSerial) {
+  // Four threads on one four-worker system, with overlapping stencils and a
+  // memo small enough to evict under them: one thread's prefetch batches
+  // race the others' evaluate() misses and batches. Every result must equal
+  // a serial evaluation on a separate system.
+  CoolingSystem::Config cfg = coarse_config();
+  cfg.cache_limit = 6;
+  cfg.engine.threads = 4;
+  const CoolingSystem sys(fp(), benchmark_power(workload::Benchmark::kFft),
+                          leakage(), cfg);
+  const CoolingSystem serial = make_system(workload::Benchmark::kFft);
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kRounds = 3;
+  // Thread t's stencil shares its last point with thread t + 1's first.
+  std::vector<std::vector<thermal::OperatingPoint>> stencils(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t j = 3 * t + k;
+      stencils[t].push_back({300.0 + 10.0 * static_cast<double>(j),
+                             0.25 * static_cast<double>(j % 2)});
+    }
+  }
+  std::vector<std::vector<Evaluation>> expected(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (const thermal::OperatingPoint& p : stencils[t]) {
+      expected[t].push_back(serial.evaluate(p.omega, p.current));
+    }
+  }
+
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        if ((t + round) % 2 == 0) sys.prefetch(stencils[t]);
+        for (std::size_t k = 0; k < stencils[t].size(); ++k) {
+          const thermal::OperatingPoint& p = stencils[t][k];
+          mismatches[t] +=
+              !same_bits(sys.evaluate(p.omega, p.current), expected[t][k]);
+        }
       }
     });
   }

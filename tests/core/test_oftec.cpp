@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "core/problems.h"
+#include "opt/sqp.h"
 #include "test_fixtures.h"
 #include "util/units.h"
 
@@ -169,6 +175,147 @@ TEST(MinTemperature, WorksOnFanOnlySystems) {
   ASSERT_TRUE(t.finite);
   EXPECT_DOUBLE_EQ(t.current, 0.0);
   EXPECT_LT(t.max_chip_temperature, sys.t_max());
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every OftecResult field except the wall-clock runtime, bit for bit.
+void expect_same_result(const OftecResult& a, const OftecResult& b,
+                        const std::string& label) {
+  const auto same_power = [](const CoolingBreakdown& x,
+                             const CoolingBreakdown& y) {
+    return bits(x.leakage) == bits(y.leakage) && bits(x.tec) == bits(y.tec) &&
+           bits(x.fan) == bits(y.fan);
+  };
+  EXPECT_EQ(a.success, b.success) << label;
+  EXPECT_EQ(a.status, b.status) << label;
+  EXPECT_EQ(a.used_opt2, b.used_opt2) << label;
+  EXPECT_EQ(bits(a.omega), bits(b.omega)) << label;
+  EXPECT_EQ(bits(a.current), bits(b.current)) << label;
+  EXPECT_EQ(bits(a.max_chip_temperature), bits(b.max_chip_temperature))
+      << label;
+  EXPECT_TRUE(same_power(a.power, b.power)) << label;
+  EXPECT_EQ(bits(a.opt2_omega), bits(b.opt2_omega)) << label;
+  EXPECT_EQ(bits(a.opt2_current), bits(b.opt2_current)) << label;
+  EXPECT_EQ(bits(a.opt2_temperature), bits(b.opt2_temperature)) << label;
+  EXPECT_TRUE(same_power(a.opt2_power, b.opt2_power)) << label;
+  EXPECT_EQ(a.thermal_solves, b.thermal_solves) << label;
+}
+
+CoolingSystem make_system_with_threads(workload::Benchmark b,
+                                       std::size_t threads) {
+  CoolingSystem::Config cfg = testing::coarse_config();
+  cfg.engine.threads = threads;
+  return CoolingSystem(testing::fp(), testing::benchmark_power(b),
+                       testing::leakage(), cfg);
+}
+
+/// A CoolingProblem seen through the plain opt::Problem interface: no
+/// prefetch() override, so SQP evaluates every stencil point serially.
+class NoPrefetch final : public opt::Problem {
+ public:
+  explicit NoPrefetch(const CoolingProblem& inner) : inner_(inner) {}
+  [[nodiscard]] std::size_t dimension() const override {
+    return inner_.dimension();
+  }
+  [[nodiscard]] std::size_t constraint_count() const override {
+    return inner_.constraint_count();
+  }
+  [[nodiscard]] const opt::Bounds& bounds() const override {
+    return inner_.bounds();
+  }
+  [[nodiscard]] double objective(const la::Vector& x) const override {
+    return inner_.objective(x);
+  }
+  [[nodiscard]] la::Vector constraints(const la::Vector& x) const override {
+    return inner_.constraints(x);
+  }
+
+ private:
+  const CoolingProblem& inner_;
+};
+
+/// run_oftec's Algorithm 1 (default options, feasible branch) with the SQP
+/// driving NoPrefetch wrappers — the serial oracle for the batched stencils.
+OftecResult run_oftec_without_prefetch(const CoolingSystem& system) {
+  const OftecOptions options;
+  const std::size_t solves_before = system.evaluation_count();
+  const CoolingProblem opt2(system, CoolingProblem::Objective::kMaxTemperature,
+                            /*temperature_constraint=*/false);
+  const CoolingProblem opt1(system, CoolingProblem::Objective::kCoolingPower,
+                            /*temperature_constraint=*/true);
+  const double t_max = opt1.t_max();
+
+  OftecResult result;
+  la::Vector x = opt2.midpoint();
+  double temperature = opt2.objective(x);
+  if (!(temperature < t_max)) {
+    result.used_opt2 = true;
+    const double stop_threshold = t_max - options.feasibility_margin;
+    const opt::OptResult r2 = opt::solve_sqp(
+        NoPrefetch(opt2), x, options.sqp,
+        [&](const la::Vector&, double objective) {
+          return objective < stop_threshold;
+        });
+    x = r2.x;
+    temperature = r2.objective;
+  }
+  result.opt2_omega = opt2.omega_of(x);
+  result.opt2_current = opt2.current_of(x);
+  result.opt2_temperature = temperature;
+  result.opt2_power =
+      system.evaluate(result.opt2_omega, result.opt2_current).power;
+
+  const opt::OptResult r1 = opt::solve_sqp(NoPrefetch(opt1), x, options.sqp);
+  la::Vector x_star = r1.x;
+  Evaluation ev = system.evaluate(opt1.omega_of(x_star), opt1.current_of(x_star));
+  if (ev.runaway || !(ev.max_chip_temperature < t_max)) {
+    x_star = x;
+    ev = system.evaluate(opt1.omega_of(x_star), opt1.current_of(x_star));
+  }
+  result.success = true;
+  result.status = SolveStatus::kOk;
+  result.omega = opt1.omega_of(x_star);
+  result.current = opt1.current_of(x_star);
+  result.max_chip_temperature = ev.max_chip_temperature;
+  result.power = ev.power;
+  result.thermal_solves = system.evaluation_count() - solves_before;
+  return result;
+}
+
+TEST(OftecBatchedStencils, IdenticalAtAnyThreadCountAndWithoutPrefetch) {
+  // SQP fetches each finite-difference stencil as one engine batch. The
+  // batch must not move a single bit of any Table-2 result, nor the count of
+  // thermal solves, whether it runs on 1, 2 or 4 threads or not at all.
+  for (const workload::Benchmark b : workload::all_benchmarks()) {
+    const std::string name = workload::profile_for(b).name;
+    const OftecResult serial =
+        run_oftec_without_prefetch(make_system_with_threads(b, 1));
+    ASSERT_TRUE(serial.success) << name;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const OftecResult batched =
+          run_oftec(make_system_with_threads(b, threads));
+      expect_same_result(batched, serial,
+                         name + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(OftecBatchedStencils, InfeasibleRunIdenticalAtAnyThreadCount) {
+  // The runaway region puts +inf samples into the stencils.
+  power::PowerMap overload =
+      testing::benchmark_power(workload::Benchmark::kQuicksort);
+  overload.scale(1.6);
+  std::vector<OftecResult> results;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    CoolingSystem::Config cfg = testing::coarse_config();
+    cfg.engine.threads = threads;
+    const CoolingSystem sys(testing::fp(), overload, testing::leakage(), cfg);
+    results.push_back(run_oftec(sys));
+  }
+  ASSERT_FALSE(results[0].success);
+  expect_same_result(results[1], results[0], "threads=2");
+  expect_same_result(results[2], results[0], "threads=4");
 }
 
 TEST(Oftec, SolutionBeatsNaiveFullPower) {

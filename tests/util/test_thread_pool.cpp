@@ -74,6 +74,17 @@ TEST(ThreadPool, ReentrantParallelForRunsInline) {
   }
 }
 
+TEST(ThreadPool, ReportsWhenInsideAParallelBody) {
+  EXPECT_FALSE(ThreadPool::inside_parallel_body());
+  ThreadPool pool(4);
+  std::atomic<int> inside{0};
+  pool.parallel_for(8, [&](std::size_t) {
+    inside.fetch_add(ThreadPool::inside_parallel_body() ? 1 : 0);
+  });
+  EXPECT_EQ(inside.load(), 8);
+  EXPECT_FALSE(ThreadPool::inside_parallel_body());
+}
+
 TEST(ThreadPool, SequentialJobsReuseWorkers) {
   ThreadPool pool(4);
   long total = 0;
